@@ -46,7 +46,9 @@ def main() -> None:
     )
 
     # -- 2. lazy reader + streaming split -------------------------------
-    reader = ShardedDataset(out, cache_shards=2)
+    # Decoded shards stay cached up to 64 MiB of arrays: this dataset fits,
+    # so each shard is decoded once however the batches are shuffled.
+    reader = ShardedDataset(out, cache_bytes=64 * 2**20)
     train, val, test = split_dataset(reader, seed=0)
     print(f"split: {len(train)} train / {len(val)} val / {len(test)} test "
           f"(lazy {type(train).__name__} partitions)")

@@ -14,10 +14,13 @@ lands — a killed build leaves a valid prefix that
 every shard already on disk.
 
 Readers are lazy: :class:`ShardedDataset` decodes shards on demand and
-keeps only a small LRU of decoded shards in memory, so training can
-stream datasets far larger than RAM. :class:`DatasetView` is an
-index-selected view over any such source (what
-:func:`repro.dataset.splits.split_dataset` returns for streaming
+keeps decoded shards in an LRU bounded by their array bytes
+(``cache_bytes``, default :data:`DEFAULT_CACHE_BYTES`). A dataset that
+fits the budget is decoded once per reader however its batches are
+shuffled; a larger one streams through it, and the cache never holds
+more than the budget or, when one shard exceeds it, that single shard.
+:class:`DatasetView` is an index-selected view over any such source
+(what :func:`repro.dataset.splits.split_dataset` returns for streaming
 inputs), preserving laziness through train/val/test splitting.
 """
 
@@ -40,6 +43,9 @@ from repro.integrity import IntegrityError, digest_file, load_npz_verified
 SHARD_SCHEMA_VERSION = 1
 
 MANIFEST_NAME = "manifest.json"
+
+#: Default budget of a reader's decoded-shard cache, in array bytes.
+DEFAULT_CACHE_BYTES = 256 * 2**20
 
 
 def shard_filename(index: int) -> str:
@@ -164,14 +170,29 @@ def read_shard(root: str | Path, info: ShardInfo) -> list[GraphData]:
     return samples
 
 
+def decoded_nbytes(samples: Sequence[GraphData]) -> int:
+    """Array bytes held by decoded samples: the shard cache's unit."""
+    return sum(
+        value.nbytes
+        for sample in samples
+        for value in vars(sample).values()
+        if isinstance(value, np.ndarray)
+    )
+
+
 class ShardedDataset(Sequence[GraphData]):
     """Lazy random-access reader over a sharded dataset.
 
     Implements the :class:`~typing.Sequence` protocol, so it drops in
     wherever a sample list is expected (splitting, batching, training);
     the ``streaming`` marker tells the trainer to rebuild batches lazily
-    per epoch instead of materialising everything up front. At most
-    ``cache_shards`` decoded shards are held in memory.
+    per epoch instead of materialising everything up front.
+
+    Decoded shards stay in an LRU until their summed array bytes
+    (:func:`decoded_nbytes`) exceed ``cache_bytes``; the most recently
+    decoded shard is always kept, so a budget smaller than one shard
+    still holds exactly one. Views over the reader
+    (:class:`DatasetView`, :class:`ConcatDataset`) share its cache.
     """
 
     #: Consumers (trainer, splits) key memory behaviour off this flag.
@@ -180,7 +201,7 @@ class ShardedDataset(Sequence[GraphData]):
     def __init__(
         self,
         root: str | Path,
-        cache_shards: int = 2,
+        cache_bytes: int = DEFAULT_CACHE_BYTES,
         require_complete: bool = True,
     ):
         root = Path(root)
@@ -194,10 +215,12 @@ class ShardedDataset(Sequence[GraphData]):
                 "build?); finish it with build_pipeline(..., resume=True) "
                 "or pass require_complete=False"
             )
-        if cache_shards < 1:
-            raise ValueError("cache_shards must be >= 1")
-        self.cache_shards = cache_shards
-        self._cache: OrderedDict[int, list[GraphData]] = OrderedDict()
+        if cache_bytes < 0:
+            raise ValueError("cache_bytes must be >= 0")
+        self.cache_bytes = cache_bytes
+        #: shard index -> (decoded samples, their decoded_nbytes)
+        self._cache: OrderedDict[int, tuple[list[GraphData], int]] = OrderedDict()
+        self._cached_nbytes = 0
         self._starts = np.array(
             [info.start for info in self.manifest.shards], dtype=np.int64
         )
@@ -218,11 +241,14 @@ class ShardedDataset(Sequence[GraphData]):
         cached = self._cache.get(shard_index)
         if cached is not None:
             self._cache.move_to_end(shard_index)
-            return cached
+            return cached[0]
         samples = read_shard(self.root, self.manifest.shards[shard_index])
-        self._cache[shard_index] = samples
-        while len(self._cache) > self.cache_shards:
-            self._cache.popitem(last=False)
+        nbytes = decoded_nbytes(samples)
+        self._cache[shard_index] = (samples, nbytes)
+        self._cached_nbytes += nbytes
+        while self._cached_nbytes > self.cache_bytes and len(self._cache) > 1:
+            _, (_, evicted) = self._cache.popitem(last=False)
+            self._cached_nbytes -= evicted
         return samples
 
     def __getitem__(self, index):
@@ -240,11 +266,11 @@ class ShardedDataset(Sequence[GraphData]):
     def gather(self, indices) -> list[GraphData]:
         """Samples at ``indices`` (original order), grouped by shard.
 
-        A shuffled batch scatters across shards, so per-sample
-        ``__getitem__`` against the small LRU would decode the same
-        shard repeatedly; grouping decodes each distinct shard exactly
-        once per call. :class:`~repro.training.trainer.BatchStream`
-        routes streaming batch construction through here.
+        A shuffled batch scatters across shards; grouping touches each
+        distinct shard once per call, so even a cache that holds a
+        single shard decodes each shard at most once per batch.
+        :class:`~repro.training.trainer.BatchStream` routes streaming
+        batch construction through here.
         """
         indices = np.asarray(indices, dtype=np.int64)
         if indices.size and (indices.min() < 0 or indices.max() >= self._length):
@@ -260,7 +286,7 @@ class ShardedDataset(Sequence[GraphData]):
 
     def __iter__(self) -> Iterator[GraphData]:
         # Shard-sequential iteration: one decode per shard regardless of
-        # the LRU size.
+        # the cache budget.
         for shard_index in range(len(self.manifest.shards)):
             yield from self._shard(shard_index)
 

@@ -40,6 +40,7 @@ from repro.gnn.pooling import _POOLERS
 from repro.graph.data import GraphData
 from repro.graph.partition import PartitionedGraph, partition_graph
 from repro.tensor import Tensor, no_grad
+from repro.training.metrics import expm1_finite
 
 #: Default block size for on-the-fly partitions built by the predict
 #: helpers; serving exposes it as ``stream_block_nodes``.
@@ -157,7 +158,7 @@ def predict_regressor_streaming(
             out = model.head(Tensor(pooled[None, :])).data[0]
     finally:
         model.train(was_training)
-    return np.expm1(out)
+    return expm1_finite(out)
 
 
 def predict_node_logits_streaming(

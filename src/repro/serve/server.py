@@ -565,10 +565,10 @@ class PredictionServer:
 
         Bumps the generation token; each worker re-resolves its predictor
         before its next batch. In-flight batches finish on the old
-        weights. A candidate that fails its integrity check (corrupt
-        weights, torn manifest) is skipped — the worker keeps its
-        current model and counts ``serve.reload_skipped``. Returns the
-        new generation.
+        weights. A candidate that fails to load (corrupt weights, torn
+        manifest, an architecture that does not match its weights) is
+        skipped — the worker keeps its current model and counts
+        ``serve.reload_skipped``. Returns the new generation.
         """
         with self._cond:
             self._generation += 1
@@ -639,13 +639,16 @@ class PredictionServer:
                     generation = self._generation
                 try:
                     service, version = self._make_service()
-                except (ValueError, OSError) as exc:
-                    # Corrupt or missing reload candidate (IntegrityError,
-                    # ArtifactError, RegistryError are all ValueErrors):
-                    # keep serving the current model, count the skip, and
-                    # don't retry until the next reload() bump.
+                except Exception as exc:  # noqa: BLE001 - any bad candidate
+                    # Corrupt, missing or architecture-mismatched reload
+                    # candidate (IntegrityError, ArtifactError, a KeyError
+                    # from load_state_dict, ...): this worker holds a batch
+                    # it must resolve, so keep serving the current model,
+                    # count the skip, and don't retry until the next
+                    # reload() bump.
                     LOG.warning(
-                        "hot reload skipped on worker %d: %s", slot, exc
+                        "hot reload skipped on worker %d: %s", slot, exc,
+                        exc_info=True,
                     )
                     self._count["reload_skipped"].inc()
                     state.generation = generation

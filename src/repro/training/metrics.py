@@ -24,3 +24,18 @@ def binary_accuracy(logits: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Per-column accuracy of sign(logit) against binary labels."""
     pred = (np.asarray(logits) > 0).astype(float)
     return np.mean(pred == np.asarray(target), axis=0)
+
+
+def expm1_finite(log_values: np.ndarray) -> np.ndarray:
+    """``expm1`` of log-space regressor outputs that cannot overflow.
+
+    Regressors predict ``log1p`` targets; an output above
+    ``log(finfo(dtype).max)`` (about 88.72 in float32) would map to
+    ``inf`` with a RuntimeWarning. Inputs are clamped to the largest
+    value whose ``expm1`` is finite in their dtype, so every prediction
+    stays finite and every smaller output maps exactly as before.
+    """
+    log_values = np.asarray(log_values)
+    dtype = log_values.dtype.type
+    ceiling = np.nextafter(np.log(np.finfo(dtype).max), dtype(0))
+    return np.expm1(np.minimum(log_values, ceiling))

@@ -1,7 +1,8 @@
 """Training loops for the two task families.
 
 Targets are regressed in ``log1p`` space (resource counts span three
-orders of magnitude) and mapped back with ``expm1`` for MAPE evaluation.
+orders of magnitude) and mapped back with ``expm1`` for MAPE evaluation
+(clamped below float overflow: :func:`~repro.training.metrics.expm1_finite`).
 
 All batching — training, validation, the predict/evaluate helpers —
 goes through :class:`BatchStream`, which draws one batch schedule
@@ -16,9 +17,10 @@ goes through :class:`BatchStream`, which draws one batch schedule
   :class:`~repro.dataset.shards.ShardedDataset` or the
   :class:`~repro.dataset.shards.DatasetView` partitions produced by
   splitting one) rebuild batches lazily from the reader on every pass,
-  holding only the current batch plus the reader's small shard LRU in
-  memory. The replayed schedule makes the loss curve bitwise-identical
-  to the in-memory path.
+  holding only the current batch plus the reader's byte-bounded cache
+  of decoded shards in memory (a dataset within the budget is decoded
+  once, not once per batch). The replayed schedule makes the loss curve
+  bitwise-identical to the in-memory path.
 
 Validation batches are always prebuilt and reused across epochs (the
 validation set is small; context reuse there dominates).
@@ -63,7 +65,7 @@ from repro.training.checkpoint import (
     restore_module_rngs,
 )
 from repro.training.losses import bce_with_logits, mse_loss
-from repro.training.metrics import binary_accuracy, mape
+from repro.training.metrics import binary_accuracy, expm1_finite, mape
 
 GraphSource = Sequence[GraphData]
 
@@ -127,7 +129,7 @@ class BatchStream:
 
     def _build(self, chunk: np.ndarray) -> Batch:
         # Streaming readers expose ``gather`` (shard-grouped loads: each
-        # distinct shard is decoded once per batch, not once per sample).
+        # distinct shard is fetched once per batch, not once per sample).
         gather = getattr(self.graphs, "gather", None)
         if gather is not None:
             return Batch(gather(chunk))
@@ -215,13 +217,13 @@ def predict_regressor(
     model: GraphRegressor, graphs: GraphSource, batch_size: int = 64
 ) -> np.ndarray:
     """Predict raw-scale targets for a sequence of graphs."""
-    return _forward_batches(model, BatchStream(graphs, batch_size), np.expm1)
+    return _forward_batches(model, BatchStream(graphs, batch_size), expm1_finite)
 
 
 def _evaluate_regressor_batches(
     model: GraphRegressor, batches: Iterable[Batch]
 ) -> np.ndarray:
-    pred, target = _forward_batches(model, batches, np.expm1, _require_targets)
+    pred, target = _forward_batches(model, batches, expm1_finite, _require_targets)
     return mape(pred, target)
 
 

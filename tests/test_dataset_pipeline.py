@@ -19,9 +19,10 @@ from repro.dataset import (
     save_dataset,
     split_dataset,
 )
+from repro.dataset import shards
 from repro.dataset.features import FeatureEncoder
 from repro.dataset.pipeline import cache_key, program_digest
-from repro.dataset.shards import MANIFEST_NAME
+from repro.dataset.shards import MANIFEST_NAME, decoded_nbytes
 from repro.faults import FaultPlan, FaultSpec
 from repro.gnn.network import GraphRegressor
 from repro.hls.resource_library import DEFAULT_DEVICE
@@ -208,15 +209,33 @@ class TestBuildCache:
 
 class TestShardedFormat:
     def test_lazy_reader_caps_decoded_shards(self, tmp_path):
-        dataset, _ = build_pipeline(tmp_path / "ds", "dfg", 6, seed=0, shard_size=2)
-        reader = ShardedDataset(tmp_path / "ds", cache_shards=1)
+        build_pipeline(tmp_path / "ds", "dfg", 6, seed=0, shard_size=2)
+        probe = ShardedDataset(tmp_path / "ds")
+        sizes = [decoded_nbytes(samples) for samples in probe.iter_shards()]
+        # Any two of the three shards fit the budget, all three never do.
+        reader = ShardedDataset(tmp_path / "ds", cache_bytes=sum(sizes) - 1)
         reference = build_synthetic_dataset("dfg", 6, seed=0)
-        for i in (5, 0, 3, 2):
+        for i, cached in ((5, [2]), (0, [2, 0]), (3, [0, 1]), (2, [0, 1]), (-1, [1, 2])):
             assert_samples_equal(reader[i], reference[i])
-            assert len(reader._cache) == 1
-        assert_samples_equal(reader[-1], reference[-1])
+            assert list(reader._cache) == cached
+            assert reader._cached_nbytes == sum(sizes[k] for k in cached)
+            assert reader._cached_nbytes <= reader.cache_bytes
         with pytest.raises(IndexError):
             reader[6]
+        with pytest.raises(ValueError, match="cache_bytes"):
+            ShardedDataset(tmp_path / "ds", cache_bytes=-1)
+
+    def test_budget_below_one_shard_holds_exactly_one(self, tmp_path):
+        build_pipeline(tmp_path / "ds", "dfg", 6, seed=0, shard_size=2)
+        reader = ShardedDataset(tmp_path / "ds", cache_bytes=1)
+        reference = build_synthetic_dataset("dfg", 6, seed=0)
+        for i in (4, 1, 5, 0, 2):
+            assert_samples_equal(reader[i], reference[i])
+            assert len(reader._cache) == 1
+        order = [5, 0, 3, 1, 4]
+        for got, i in zip(reader.gather(order), order):
+            assert_samples_equal(got, reference[i])
+        assert len(reader._cache) == 1
 
     def test_legacy_sharded_roundtrip_parity(self, tmp_path, dfg_samples):
         legacy = tmp_path / "legacy.npz"
@@ -278,6 +297,33 @@ class TestStreamingTraining:
         )
         assert in_memory.history == streamed.history
         assert in_memory.best_epoch == streamed.best_epoch
+
+    def test_training_decodes_each_shard_once(self, sharded, monkeypatch):
+        decoded = []
+        real_read_shard = shards.read_shard
+
+        def counting_read_shard(root, info):
+            decoded.append(info.file)
+            return real_read_shard(root, info)
+
+        monkeypatch.setattr(shards, "read_shard", counting_read_shard)
+        config = TrainConfig(epochs=3, batch_size=4, seed=1)
+        histories = {}
+        for budget in (shards.DEFAULT_CACHE_BYTES, 1):
+            decoded.clear()
+            reader = ShardedDataset(sharded.root, cache_bytes=budget)
+            train, val, _ = split_dataset(reader, (0.75, 0.25, 0.0), seed=2)
+            histories[budget] = train_graph_regressor(
+                self._model(reader[0].feature_dim), train, val, config
+            ).history
+            files = [info.file for info in reader.manifest.shards]
+            if budget == 1:
+                # A one-shard cache re-decodes across batches and epochs.
+                assert len(decoded) > len(files)
+            else:
+                assert sorted(decoded) == files
+        # The cache budget never changes what training sees.
+        assert histories[1] == histories[shards.DEFAULT_CACHE_BYTES]
 
     def test_split_of_streaming_source_is_lazy_and_aligned(self, sharded):
         samples = build_synthetic_dataset("dfg", 12, seed=5)

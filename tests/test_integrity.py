@@ -244,3 +244,34 @@ class TestHotReloadSkip:
                 assert outcome.model_version == 1  # old model kept
         assert server.stats.reload_skipped >= 1
         assert server.stats.failed == 0
+
+    def test_architecture_mismatched_candidate_keeps_old_model(
+        self, fitted_tiny, dfg_samples, tmp_path
+    ):
+        registry = ModelRegistry(tmp_path / "reg")
+        registry.register("demo", fitted_tiny)
+        config = ServerConfig(
+            workers=1, max_wait_ms=0.5, queue_depth=32, validate=False
+        )
+        with PredictionServer(registry, "demo", config=config) as server:
+            before = server.submit(dfg_samples[0]).outcome(timeout=10.0)
+            assert before.status == "ok" and before.model_version == 1
+            # A v2 whose manifest asks for a deeper network than its
+            # (intact, digest-valid) weights hold: loading raises a
+            # KeyError from load_state_dict, not a ValueError.
+            record = registry.register("demo", fitted_tiny)
+            manifest = json.loads((record.path / "manifest.json").read_text())
+            manifest["config"]["num_layers"] += 1
+            (record.path / "manifest.json").write_text(json.dumps(manifest))
+            with pytest.raises(KeyError, match="state dict mismatch"):
+                registry.load("demo")
+            server.reload()
+            # The worker meets the failed reload holding this batch; it
+            # must still resolve, on the old model, and the worker must
+            # stay alive for the next one.
+            for graph in dfg_samples[1:3]:
+                outcome = server.submit(graph).outcome(timeout=10.0)
+                assert outcome.status == "ok"
+                assert outcome.model_version == 1
+        assert server.stats.reload_skipped == 1
+        assert server.stats.failed == 0

@@ -1,5 +1,7 @@
 """Unit tests for losses, metrics and the training loops."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,34 @@ class TestTrainerRegression:
         pred = predict_regressor(model, dfg_samples[:5])
         assert pred.shape == (5, 4)
         assert (pred > -1.0).all()  # expm1 lower bound
+
+    def test_outputs_beyond_float32_exp_range_stay_finite(self, dfg_samples):
+        from repro.gnn.streaming import predict_regressor_streaming
+        from repro.tensor import default_dtype
+        from repro.training.trainer import predict_regressor
+
+        with default_dtype(np.float32):
+            # Re-wrapping casts the inputs to float32 under any global policy.
+            graphs = [g.with_features(g.node_features) for g in dfg_samples[:3]]
+            model = GraphRegressor(
+                "gcn", in_dim=graphs[0].feature_dim, hidden_dim=8, num_layers=1,
+                num_edge_types=TYPES, rng=np.random.default_rng(0),
+            )
+            # Zero the last head layer and bias it to a log-space output of
+            # 100, past log(finfo(float32).max) ~= 88.72.
+            head = [p for n, p in model.named_parameters() if n.startswith("head.")]
+            weight, bias = head[-2:]
+            weight.data[...] = 0.0
+            bias.data[...] = 100.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                pred = predict_regressor(model, graphs)
+                streamed = predict_regressor_streaming(model, graphs[0])
+                errors = evaluate_regressor(model, graphs)
+        assert pred.dtype == np.float32
+        assert np.isfinite(pred).all() and (pred > 1e38).all()
+        np.testing.assert_array_equal(streamed, pred[0])
+        assert np.isfinite(errors).all()
 
 
 class TestTrainerNodeClassifier:
