@@ -11,8 +11,9 @@ Ferretti et al. (arXiv:2111.14767) and Sohrabizadeh et al.'s GNN-DSE
 - :class:`~repro.dse.space.DesignSpace` enumerates per-loop directive
   configurations for any suite kernel or ldrgen program and maps design
   points onto flow overrides (no re-lowering per point);
-- :class:`~repro.dse.evaluate.GroundTruthEvaluator` runs the full
-  simulated HLS flow per point (exact, slow);
+- :class:`~repro.dse.evaluate.GroundTruthEvaluator` runs the simulated
+  HLS flow per point, preparing its directive-independent stage once
+  per clock (exact, slow);
   :class:`~repro.dse.evaluate.PredictorEvaluator` rewrites only the
   directive feature columns per point and scores hundreds of candidate
   graphs per flush through the batched
@@ -21,7 +22,8 @@ Ferretti et al. (arXiv:2111.14767) and Sohrabizadeh et al.'s GNN-DSE
   epsilon-greedy and evolutionary searches over either backend;
 - :func:`~repro.dse.pareto.pareto_front` / :func:`~repro.dse.pareto.adrs`
   extract the (latency, resources) frontier and measure its quality
-  against exhaustive ground truth.
+  against exhaustive ground truth; :class:`~repro.dse.pareto.ParetoFront`
+  is the same fold kept open, which ``explore`` updates once per batch.
 
 Quick start (also see ``examples/explore_design_space.py`` and
 ``python -m repro.dse explore --help``)::
@@ -45,7 +47,7 @@ from repro.dse.evaluate import (
     GroundTruthEvaluator,
     PredictorEvaluator,
 )
-from repro.dse.pareto import adrs, dominates, pareto_front
+from repro.dse.pareto import ParetoFront, adrs, dominates, pareto_front
 from repro.dse.space import DesignPoint, DesignSpace, LoopKnob, iter_loops
 from repro.dse.strategies import STRATEGIES, ExplorationResult, explore
 
@@ -53,6 +55,7 @@ __all__ = [
     "DesignEvaluation",
     "GroundTruthEvaluator",
     "PredictorEvaluator",
+    "ParetoFront",
     "adrs",
     "dominates",
     "pareto_front",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -19,26 +19,59 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
     return not_worse and better
 
 
+class ParetoFront(Generic[T]):
+    """Running non-dominated set: the left fold behind :func:`pareto_front`.
+
+    :meth:`add` folds in one item; :meth:`snapshot` returns the front of
+    everything added so far, exactly as ``pareto_front`` over the same
+    sequence would. Each member's objective tuple is stored, so ``key``
+    runs once per added item. Duplicate objective vectors keep a single
+    representative (the first seen) so revisited design points cannot
+    pad the frontier.
+    """
+
+    def __init__(self, key: Callable[[T], Sequence[float]]):
+        self.key = key
+        #: (item, objective tuple) of every current member, in fold order
+        self._members: list[tuple[T, tuple]] = []
+        self._seen: set[tuple[float, ...]] = set()
+
+    def add(self, item: T) -> None:
+        """Fold in ``item``."""
+        raw = tuple(self.key(item))
+        objectives = tuple(float(v) for v in raw)
+        if objectives in self._seen:
+            return
+        if any(dominates(other, objectives) for _, other in self._members):
+            return
+        self._members = [
+            (member, other)
+            for member, other in self._members
+            if not dominates(objectives, other)
+        ]
+        self._members.append((item, raw))
+        self._seen.add(objectives)
+
+    def extend(self, items: Iterable[T]) -> None:
+        for item in items:
+            self.add(item)
+
+    def snapshot(self) -> list[T]:
+        """Current members, sorted by objective tuple."""
+        return [member for member, _ in sorted(self._members, key=lambda m: m[1])]
+
+
 def pareto_front(
-    items: Sequence[T], key: Callable[[T], Sequence[float]]
+    items: Iterable[T], key: Callable[[T], Sequence[float]]
 ) -> list[T]:
     """Non-dominated subset of ``items``, sorted by the first objective.
 
     Duplicate objective vectors keep a single representative (the first
     seen) so revisited design points cannot pad the frontier.
     """
-    front: list[T] = []
-    seen: set[tuple[float, ...]] = set()
-    for item in items:
-        objectives = tuple(float(v) for v in key(item))
-        if objectives in seen:
-            continue
-        if any(dominates(key(other), objectives) for other in front):
-            continue
-        front = [other for other in front if not dominates(objectives, key(other))]
-        front.append(item)
-        seen.add(objectives)
-    return sorted(front, key=lambda item: tuple(key(item)))
+    front = ParetoFront(key)
+    front.extend(items)
+    return front.snapshot()
 
 
 def adrs(

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.dse.evaluate import DesignEvaluation
-from repro.dse.pareto import adrs, pareto_front
+from repro.dse.pareto import ParetoFront, adrs
+from repro.dse.pareto import pareto_front  # noqa: F401 - wrapped by name in perfbench
 from repro.dse.space import DesignPoint, DesignSpace
 from repro.obs import active_ledger, get_registry
 
@@ -75,6 +76,10 @@ class _Explorer:
         #: Evaluated-batch sizes, one per non-empty :meth:`run_batch` —
         #: the campaign's "generations" for convergence telemetry.
         self.generation_sizes: list[int] = []
+        self._front = ParetoFront(key=lambda e: e.objectives())
+        #: Sorted frontier after each generation (parallel to
+        #: ``generation_sizes``).
+        self.fronts: list[list[DesignEvaluation]] = []
 
     @property
     def remaining(self) -> int:
@@ -103,6 +108,8 @@ class _Explorer:
         evaluations = self.evaluator.evaluate_many(fresh)
         self.evaluations.extend(evaluations)
         self.generation_sizes.append(len(evaluations))
+        self._front.extend(evaluations)
+        self.fronts.append(self._front.snapshot())
         return evaluations
 
     def random_batch(self, rng: np.random.Generator, count: int) -> list[DesignPoint]:
@@ -110,7 +117,7 @@ class _Explorer:
         return [self.space.sample(rng) for _ in range(max(1, count) * 3)]
 
     def frontier(self) -> list[DesignEvaluation]:
-        return pareto_front(self.evaluations, key=lambda e: e.objectives())
+        return list(self.fronts[-1]) if self.fronts else []
 
 
 def _exhaustive(explorer: _Explorer, rng: np.random.Generator, **_: object) -> None:
@@ -261,11 +268,8 @@ def _generation_curve(
     reference = [evaluation.objectives() for evaluation in final_frontier]
     curve: list[dict] = []
     cursor = 0
-    for size in explorer.generation_sizes:
+    for size, front in zip(explorer.generation_sizes, explorer.fronts):
         cursor += size
-        front = pareto_front(
-            explorer.evaluations[:cursor], key=lambda e: e.objectives()
-        )
         curve.append(
             {
                 "evaluated": cursor,

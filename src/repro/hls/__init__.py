@@ -7,6 +7,10 @@ implementation model that emits the ground-truth DSP/LUT/FF/CP metrics
 the paper's benchmark labels graphs with. A deliberately *biased*
 synthesis-report estimator reproduces the error profile HLS tools show in
 the paper's Table 5 (huge LUT/FF overestimates on real applications).
+
+:func:`run_hls` runs the whole flow; :func:`prepare_hls` runs only its
+directive-independent stage, and the returned :class:`PreparedFlow`
+prices one loop-directive set per :meth:`PreparedFlow.run` call.
 """
 
 from repro.hls.resource_library import (
@@ -21,7 +25,7 @@ from repro.hls.binding import Binding, FunctionalUnit, bind_function
 from repro.hls.fsm import FSMCost, fsm_cost
 from repro.hls.implementation import ImplMetrics, implement
 from repro.hls.report import synthesis_report
-from repro.hls.flow import HLSResult, run_hls
+from repro.hls.flow import HLSResult, PreparedFlow, prepare_hls, run_hls
 from repro.hls.latency import LatencyModel, LatencyReport, estimate_latency
 from repro.hls.loops import LoopInfo, analyze_loops, loop_unroll_factor, unroll_factors
 from repro.hls.debug import binding_report, full_report, schedule_report
@@ -44,6 +48,8 @@ __all__ = [
     "implement",
     "synthesis_report",
     "HLSResult",
+    "PreparedFlow",
+    "prepare_hls",
     "run_hls",
     "LatencyModel",
     "LatencyReport",

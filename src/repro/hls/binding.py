@@ -73,6 +73,7 @@ def bind_function(
     function: IRFunction,
     schedule: Schedule,
     unroll: dict[str, int] | None = None,
+    characters: dict[int, OpCharacter] | None = None,
 ) -> Binding:
     """Bind every datapath instruction to a functional unit.
 
@@ -87,11 +88,17 @@ def bind_function(
     unrolled block instantiates that many parallel copies: it cannot
     share them away (they run in the same cycle) and its resource
     attribution scales accordingly.
+
+    ``characters`` may carry the :func:`characterize` result of every
+    instruction, keyed by id (it is directive-independent, so a flow
+    binding many directive sets computes it once).
     """
     if unroll is None:
         from repro.hls.loops import unroll_factors
 
         unroll = unroll_factors(function)
+    if characters is None:
+        characters = {inst.id: characterize(inst) for inst in function.instructions()}
 
     def factor_of(inst: Instruction) -> int:
         return max(1, unroll.get(inst.block, 1))
@@ -100,7 +107,7 @@ def bind_function(
     classes: dict[tuple[str, int], list[Instruction]] = {}
     for inst in function.instructions():
         family = fu_family(inst.opcode)
-        character = characterize(inst)
+        character = characters[inst.id]
         if family is None or (
             character.dsp == 0 and character.lut == 0 and character.ff == 0
         ):
@@ -127,11 +134,11 @@ def bind_function(
         concurrency: dict[tuple[str, int], int] = {}
         for inst in members:
             slot = schedule.slots[inst.id]
-            for step in range(max(1, characterize(inst).latency)):
+            for step in range(max(1, characters[inst.id].latency)):
                 key = (slot.block, slot.cycle + step)
                 concurrency[key] = concurrency.get(key, 0) + factor_of(inst)
         needed = max(concurrency.values())
-        prototype = characterize(max(members, key=lambda m: m.bitwidth))
+        prototype = characters[max(members, key=lambda m: m.bitwidth).id]
         units = [FunctionalUnit(family, width, prototype) for _ in range(needed)]
         for position, inst in enumerate(members):
             unit = units[position % needed]

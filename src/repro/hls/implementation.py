@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.hls.binding import Binding
 from repro.hls.fsm import FSMCost
-from repro.hls.resource_library import DEFAULT_DEVICE, DeviceModel
+from repro.hls.resource_library import DeviceModel
 from repro.hls.scheduling import Schedule
 from repro.ir.function import IRFunction
 from repro.ir.values import Instruction
@@ -49,44 +49,69 @@ def structural_seed(function: IRFunction) -> int:
     return zlib.crc32(signature.encode())
 
 
-def pipeline_registers(
-    function: IRFunction,
-    schedule: Schedule,
-    unroll: dict[str, int] | None = None,
-) -> dict[int, int]:
-    """FF bits each instruction needs because its value crosses a cycle or
-    block boundary on the way to a consumer. Unrolled blocks register
-    every parallel copy."""
+def process_noise(function: IRFunction) -> tuple[float, float, float]:
+    """The (LUT, FF, CP) place-and-route noise factors of ``function``,
+    drawn in that order from its :func:`structural_seed` stream."""
+    rng = np.random.default_rng(structural_seed(function))
+    return (rng.normal(1.0, 0.04), rng.normal(1.0, 0.04), rng.normal(1.0, 0.03))
+
+
+def interconnect_count(function: IRFunction) -> int:
+    """Operand wires between instructions (drives the glue-logic LUTs)."""
+    return sum(len(i.operands) for i in function.instructions())
+
+
+def crossing_values(function: IRFunction, schedule: Schedule) -> list[Instruction]:
+    """Instructions whose value crosses a cycle or block boundary on the
+    way to a consumer — the values that need pipeline registers."""
     users: dict[int, list[Instruction]] = {}
     for inst in function.instructions():
         for operand in inst.operands:
             if isinstance(operand, Instruction):
                 users.setdefault(operand.id, []).append(inst)
-    registers: dict[int, int] = {}
-    for inst in function.instructions():
-        consumers = users.get(inst.id, [])
-        if any(schedule.crosses_cycle(inst, c) for c in consumers):
-            factor = max(1, (unroll or {}).get(inst.block, 1))
-            registers[inst.id] = inst.bitwidth * factor
-    return registers
+    return [
+        inst
+        for inst in function.instructions()
+        if any(schedule.crosses_cycle(inst, c) for c in users.get(inst.id, []))
+    ]
+
+
+def pipeline_registers(
+    function: IRFunction,
+    schedule: Schedule,
+    unroll: dict[str, int] | None = None,
+    crossing: list[Instruction] | None = None,
+) -> dict[int, int]:
+    """FF bits each instruction needs because its value crosses a cycle or
+    block boundary on the way to a consumer. Unrolled blocks register
+    every parallel copy. ``crossing`` may carry a precomputed
+    :func:`crossing_values` result (it depends only on the schedule)."""
+    if crossing is None:
+        crossing = crossing_values(function, schedule)
+    unroll = unroll or {}
+    return {
+        inst.id: inst.bitwidth * max(1, unroll.get(inst.block, 1))
+        for inst in crossing
+    }
 
 
 def implement(
-    function: IRFunction,
     schedule: Schedule,
     binding: Binding,
     fsm: FSMCost,
-    device: DeviceModel = DEFAULT_DEVICE,
-    unroll: dict[str, int] | None = None,
+    device: DeviceModel,
+    pipeline_ff: float,
+    interconnect: int,
+    noise: tuple[float, float, float],
 ) -> ImplMetrics:
-    """Produce ground-truth post-implementation metrics."""
-    rng = np.random.default_rng(structural_seed(function))
+    """Produce ground-truth post-implementation metrics.
 
+    ``pipeline_ff`` is the total of :func:`pipeline_registers` under the
+    applied unrolling; ``interconnect`` (:func:`interconnect_count`) and
+    ``noise`` (:func:`process_noise`) depend only on the function.
+    """
     dsp = float(binding.datapath_dsp)
 
-    regs = pipeline_registers(function, schedule, unroll)
-    pipeline_ff = float(sum(regs.values()))
-    interconnect = sum(len(i.operands) for i in function.instructions())
     glue_lut = 0.8 * interconnect
     # Logic optimisation and LUT packing recover ~8% of the naive sum.
     lut = 0.92 * (binding.datapath_lut + fsm.lut + glue_lut)
@@ -97,9 +122,10 @@ def implement(
     cp = max(2.5, schedule.max_chain_ns + routing)
     cp = min(cp, 1.2 * device.clock_period_ns)  # implementation may miss timing
 
-    lut *= rng.normal(1.0, 0.04)
-    ff *= rng.normal(1.0, 0.04)
-    cp *= rng.normal(1.0, 0.03)
+    lut_noise, ff_noise, cp_noise = noise
+    lut *= lut_noise
+    ff *= ff_noise
+    cp *= cp_noise
     return ImplMetrics(
         dsp=dsp,
         lut=max(1.0, round(lut, 1)),

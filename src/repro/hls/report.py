@@ -18,7 +18,12 @@ import math
 from repro.hls.binding import Binding
 from repro.hls.fsm import FSMCost
 from repro.hls.implementation import ImplMetrics
-from repro.hls.resource_library import DEFAULT_DEVICE, DeviceModel, characterize
+from repro.hls.resource_library import (
+    DEFAULT_DEVICE,
+    DeviceModel,
+    OpCharacter,
+    characterize,
+)
 from repro.hls.scheduling import Schedule
 from repro.ir.cfg import back_edges
 from repro.ir.function import IRFunction
@@ -32,6 +37,7 @@ def synthesis_report(
     device: DeviceModel = DEFAULT_DEVICE,
     bound_dsp: int | None = None,
     unroll: dict[str, int] | None = None,
+    characters: dict[int, OpCharacter] | None = None,
 ) -> ImplMetrics:
     """Pre-implementation estimate, as an HLS report would print.
 
@@ -39,12 +45,15 @@ def synthesis_report(
     reports DSP *after* allocation/binding, which is why its DSP estimate
     is the only reasonably accurate one in the paper's Table 5. The
     report also sees loop unrolling (``unroll`` block factors), since
-    that decision is made during HLS scheduling.
+    that decision is made during HLS scheduling. ``characters`` may carry
+    the :func:`characterize` result of every instruction, keyed by id.
     """
     instructions = list(function.instructions())
     unroll = unroll or {}
     factors = [max(1, unroll.get(i.block, 1)) for i in instructions]
-    characters = [characterize(i) for i in instructions]
+    if characters is None:
+        characters = {i.id: characterize(i) for i in instructions}
+    per_op = [characters[i.id] for i in instructions]
 
     num_arrays = sum(1 for a in function.args if a.is_array) + sum(
         1 for i in instructions if i.opcode == Opcode.ALLOCA
@@ -57,7 +66,7 @@ def synthesis_report(
 
     # DSP is counted after binding (sharing visible), with a conservative
     # rounding-up margin.
-    naive_dsp = float(sum(c.dsp * f for c, f in zip(characters, factors)))
+    naive_dsp = float(sum(c.dsp * f for c, f in zip(per_op, factors)))
     base_dsp = float(bound_dsp) if bound_dsp is not None else naive_dsp
     dsp_est = float(round(base_dsp * 1.22 + 0.3))
 
@@ -66,7 +75,7 @@ def synthesis_report(
     # controller and FSM state. These adapters are what explodes on real
     # memory/control-rich kernels.
     lut_est = (
-        1.35 * sum(c.lut * f for c, f in zip(characters, factors))
+        1.35 * sum(c.lut * f for c, f in zip(per_op, factors))
         + 14.0 * fsm.states
         + 2450.0 * num_arrays
         + 210.0 * num_memops
@@ -82,7 +91,7 @@ def synthesis_report(
         if i.opcode not in (Opcode.BR, Opcode.RET, Opcode.STORE)
     )
     ff_est = (
-        2.1 * sum(c.ff * f for c, f in zip(characters, factors))
+        2.1 * sum(c.ff * f for c, f in zip(per_op, factors))
         + 1.8 * naive_regs
         + 1150.0 * num_arrays
         + 260.0 * num_loops

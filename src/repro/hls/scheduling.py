@@ -124,6 +124,11 @@ def schedule_function(
                     ready_cycle += 1  # inputs must settle before the register
                     ready_offset = 0.0
                 if dsp_limit is not None and character.dsp > 0:
+                    if character.dsp > dsp_limit:
+                        raise ValueError(
+                            f"instruction {inst.id} ({inst.opcode}) needs "
+                            f"{character.dsp} DSPs, above dsp_limit={dsp_limit}"
+                        )
                     while (
                         dsp_used.get(ready_cycle, 0) + character.dsp > dsp_limit
                     ):

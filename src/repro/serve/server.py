@@ -388,7 +388,7 @@ class PredictionServer:
     """Thread worker pool + bounded queue over :class:`PredictionService`.
 
     See the module docstring for the request lifecycle. Construct from a
-    registry (each worker loads its own predictor clone — no shared
+    registry (each worker owns its own predictor clone — no shared
     mutable model state across threads) or, for tests, from an in-memory
     predictor via :meth:`from_predictor` (workers then share one service
     behind a lock).
@@ -462,14 +462,26 @@ class PredictionServer:
         self._queue: list[_ServerRequest] = []
         self._closing = False
         self._generation = 0
+        # Every worker's model loads here, before any thread starts: a
+        # load error raises from the constructor instead of killing a
+        # worker that admitted requests would then wait on forever. The
+        # boundary only reads the template's configuration, so worker 0
+        # takes the template as its clone instead of loading another.
+        states = [
+            _WorkerState(
+                *self._make_service(self._template if slot == 0 else None),
+                self._generation,
+            )
+            for slot in range(self.config.workers)
+        ]
         self._threads = [
             threading.Thread(
                 target=self._worker_loop,
-                args=(slot,),
+                args=(slot, state),
                 name=f"serve-worker-{slot}",
                 daemon=True,
             )
-            for slot in range(self.config.workers)
+            for slot, state in enumerate(states)
         ]
         for thread in self._threads:
             thread.start()
@@ -601,11 +613,16 @@ class PredictionServer:
         self.close()
 
     # -- worker internals -------------------------------------------------
-    def _make_service(self) -> tuple[PredictionService, int | None]:
+    def _make_service(
+        self, predictor: Predictor | None = None
+    ) -> tuple[PredictionService, int | None]:
+        """A worker's service over ``predictor``, or over a fresh clone
+        loaded from the registry when None."""
         if self._registry is None:
             predictor, resolved = self._shared_predictor, None
         else:
-            predictor = self._registry.load(self._name, self._version)
+            if predictor is None:
+                predictor = self._registry.load(self._name, self._version)
             resolved = (
                 self._registry.latest_version(self._name)
                 if self._version == LATEST
@@ -625,11 +642,7 @@ class PredictionServer:
         )
         return service, resolved
 
-    def _worker_loop(self, slot: int) -> None:
-        with self._cond:
-            generation = self._generation
-        service, version = self._make_service()
-        state = _WorkerState(service, version, generation)
+    def _worker_loop(self, slot: int, state: _WorkerState) -> None:
         while True:
             batch = self._collect_batch()
             if batch is None:

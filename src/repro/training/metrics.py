@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.obs import get_registry
+
 
 def mape(pred: np.ndarray, target: np.ndarray, floor: float = 1.0) -> np.ndarray:
     """Mean absolute percentage error per output column.
@@ -33,9 +35,14 @@ def expm1_finite(log_values: np.ndarray) -> np.ndarray:
     ``log(finfo(dtype).max)`` (about 88.72 in float32) would map to
     ``inf`` with a RuntimeWarning. Inputs are clamped to the largest
     value whose ``expm1`` is finite in their dtype, so every prediction
-    stays finite and every smaller output maps exactly as before.
+    stays finite and every smaller output maps exactly as before. The
+    number of clamped values is added to the ``predict.nonfinite_clamped``
+    counter of the :mod:`repro.obs` registry.
     """
     log_values = np.asarray(log_values)
     dtype = log_values.dtype.type
     ceiling = np.nextafter(np.log(np.finfo(dtype).max), dtype(0))
+    clamped = int(np.count_nonzero(log_values > ceiling))
+    if clamped:
+        get_registry().inc("predict.nonfinite_clamped", clamped)
     return np.expm1(np.minimum(log_values, ceiling))

@@ -118,6 +118,9 @@ class TestResourceConstraint:
         unlimited = schedule_function(fn)
         limited = schedule_function(fn, dsp_limit=4)
         assert limited.total_states > unlimited.total_states
+        # A 32-bit multiply needs 4 DSPs: a smaller limit cannot be met.
+        with pytest.raises(ValueError, match="above dsp_limit=3"):
+            schedule_function(fn, dsp_limit=3)
 
 
 class TestSchedulingProperties:

@@ -4,6 +4,7 @@ serve artifacts, dataset shards and the server's hot-reload path."""
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -275,3 +276,34 @@ class TestHotReloadSkip:
                 assert outcome.model_version == 1
         assert server.stats.reload_skipped == 1
         assert server.stats.failed == 0
+
+
+class TestStartupLoad:
+    def test_worker_load_error_raises_from_constructor(
+        self, fitted_tiny, tmp_path
+    ):
+        class FlakyRegistry(ModelRegistry):
+            """Load 1 is the template (worker 0 reuses it); load 2, worker
+            1's clone, fails."""
+
+            loads = 0
+
+            def load(self, *args, **kwargs):
+                FlakyRegistry.loads += 1
+                if FlakyRegistry.loads == 2:
+                    raise KeyError("state dict mismatch")
+                return super().load(*args, **kwargs)
+
+        registry = FlakyRegistry(tmp_path / "reg")
+        registry.register("demo", fitted_tiny)
+        before = set(threading.enumerate())
+        config = ServerConfig(workers=3, max_wait_ms=0.5, queue_depth=32)
+        with pytest.raises(KeyError, match="state dict mismatch"):
+            PredictionServer(registry, "demo", config=config)
+        assert FlakyRegistry.loads == 2  # worker 2 never loaded
+        leaked = [
+            thread
+            for thread in set(threading.enumerate()) - before
+            if thread.name.startswith("serve-worker-")
+        ]
+        assert leaked == []

@@ -170,6 +170,32 @@ class TestTrainerRegression:
         np.testing.assert_array_equal(streamed, pred[0])
         assert np.isfinite(errors).all()
 
+    def test_clamped_predictions_are_counted(self, dfg_samples):
+        from repro.gnn.streaming import predict_regressor_streaming
+        from repro.obs import MetricsRegistry, use_registry
+        from repro.tensor import default_dtype
+        from repro.training.metrics import expm1_finite
+        from repro.training.trainer import predict_regressor
+
+        with default_dtype(np.float32):
+            graphs = [g.with_features(g.node_features) for g in dfg_samples[:3]]
+            model = GraphRegressor(
+                "gcn", in_dim=graphs[0].feature_dim, hidden_dim=8, num_layers=1,
+                num_edge_types=TYPES, rng=np.random.default_rng(0),
+            )
+            head = [p for n, p in model.named_parameters() if n.startswith("head.")]
+            weight, bias = head[-2:]
+            weight.data[...] = 0.0
+            # Two of the four outputs overflow float32's exp range.
+            bias.data[...] = np.array([100.0, 1.0, 95.0, 2.0], dtype=np.float32)
+            with use_registry(MetricsRegistry()) as registry:
+                predict_regressor(model, graphs)
+                assert registry.counter("predict.nonfinite_clamped").value == 2 * 3
+                predict_regressor_streaming(model, graphs[0])
+                assert registry.counter("predict.nonfinite_clamped").value == 2 * 4
+                expm1_finite(np.array([1.0, 2.0], dtype=np.float32))
+                assert registry.counter("predict.nonfinite_clamped").value == 2 * 4
+
 
 class TestTrainerNodeClassifier:
     def test_training_improves_accuracy(self, dfg_samples):
