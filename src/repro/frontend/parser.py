@@ -9,11 +9,27 @@ round-trips :func:`repro.frontend.printer.to_c_source` output. A few
 conveniences beyond the printed form are accepted: plain ``int``,
 ``//`` and ``/* */`` comments, op-assignments (``x += e``) and
 ``<=``/``>=`` loop bounds.
+
+Parsing is on the serving path (``PredictionServer.submit`` parses every
+raw-C request it cannot answer from its cache), so both stages do one
+pass:
+
+- the lexer is a single compiled regex walked with ``finditer``; line and
+  column come from the offset of the last newline, not from a
+  per-character counter;
+- binary expressions use precedence climbing over ``_BIN_LEVELS``: one
+  loop, and one call per operand whatever its precedence level.
+
+Every error is a :class:`ParseError` carrying ``line:col``; a malformed
+integer literal (``09``, ``0x``) is reported at the literal itself.
+Numbers start with a decimal digit (``\\d``); identifiers start with any
+other word character and continue with ``\\w``, so a non-decimal numeric
+code point (``²``, ``½``) reads as a letter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from repro.frontend.ast_ import (
     ArrayRef,
@@ -47,72 +63,58 @@ _MULTI_OPS = ("<<", ">>", "<=", ">=", "==", "!=", "++", "--", "+=", "-=",
               "*=", "&=", "|=", "^=")
 _SINGLE_OPS = "+-*/%&|^<>=!~?:()[]{};,"
 
+# One alternation, tried left to right at each offset: skipped text
+# (whitespace, ``#`` lines, both comment forms), a ``/*`` that the
+# comment branch could not close, numbers, identifiers, operators
+# (two-character ones first, in ``_MULTI_OPS`` order), and a catch-all
+# for any other character. Every offset matches some branch, so
+# ``finditer`` walks the source without gaps. Identifiers continue over
+# ``\w``, which is ``str.isalnum()`` or ``_``.
+_TOKEN_RE = re.compile(
+    r"(?P<skip>[ \t\r\n]+|#[^\n]*|//[^\n]*|/\*.*?\*/)"
+    r"|(?P<unterminated>/\*)"
+    r"|(?P<num>\d[\dxXa-fA-F]*)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<op>" + "|".join(map(re.escape, _MULTI_OPS))
+    + "|[" + re.escape(_SINGLE_OPS) + "])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
+
 class _Token:
-    kind: str  # "ident" | "num" | "op" | "eof"
-    text: str
-    line: int
-    col: int
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # "ident" | "num" | "op" | "eof"
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
+    append = tokens.append
+    # Columns count from the offset just past the last newline seen.
+    line, line_start = 1, 0
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        if kind == "skip":
+            text = match.group()
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start() + text.rindex("\n") + 1
             continue
-        if ch == "#":  # preprocessor line (e.g. "#include <stdint.h>")
-            end = source.find("\n", i)
-            advance((end if end != -1 else n) - i)
-            continue
-        if source.startswith("//", i):
-            end = source.find("\n", i)
-            advance((end if end != -1 else n) - i)
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
-                raise ParseError(f"unterminated comment at line {line}")
-            advance(end + 2 - i)
-            continue
-        if ch.isdigit():
-            start, start_col = i, col
-            while i < n and (source[i].isdigit() or source[i] in "xXabcdefABCDEF"):
-                advance(1)
-            tokens.append(_Token("num", source[start:i], line, start_col))
-            continue
-        if ch.isalpha() or ch == "_":
-            start, start_col = i, col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                advance(1)
-            tokens.append(_Token("ident", source[start:i], line, start_col))
-            continue
-        matched = next((op for op in _MULTI_OPS if source.startswith(op, i)), None)
-        if matched is not None:
-            tokens.append(_Token("op", matched, line, col))
-            advance(len(matched))
-            continue
-        if ch in _SINGLE_OPS:
-            tokens.append(_Token("op", ch, line, col))
-            advance(1)
-            continue
-        raise ParseError(f"unexpected character {ch!r} at line {line}:{col}")
-    tokens.append(_Token("eof", "", line, col))
+        col = match.start() - line_start + 1
+        if kind == "unterminated":
+            raise ParseError(f"unterminated comment at line {line}")
+        if kind == "bad":
+            raise ParseError(
+                f"unexpected character {match.group()!r} at line {line}:{col}"
+            )
+        append(_Token(kind, match.group(), line, col))
+    append(_Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -137,20 +139,23 @@ _BIN_LEVELS = (
     ("+", "-"),
     ("*", "/", "%"),
 )
+#: Binary operator -> its level in ``_BIN_LEVELS`` (higher binds tighter).
+_BIN_PREC = {op: level for level, ops in enumerate(_BIN_LEVELS) for op in ops}
 
 
 class _Parser:
+    __slots__ = ("tokens", "pos", "current")
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        #: ``tokens[pos]``, kept in step by :meth:`advance`.
+        self.current = tokens[0]
 
     # -- token plumbing ------------------------------------------------
-    @property
-    def current(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def _fail(self, message: str) -> ParseError:
-        tok = self.current
+    def _fail(self, message: str, tok: _Token | None = None) -> ParseError:
+        """A ParseError located at ``tok`` (default: the current token)."""
+        tok = tok or self.current
         where = f"line {tok.line}:{tok.col}"
         shown = tok.text or "<eof>"
         return ParseError(f"{message} (got {shown!r} at {where})")
@@ -159,10 +164,12 @@ class _Parser:
         token = self.current
         if token.kind != "eof":
             self.pos += 1
+            self.current = self.tokens[self.pos]
         return token
 
     def at(self, text: str) -> bool:
-        return self.current.text == text and self.current.kind in ("op", "ident")
+        tok = self.current
+        return tok.text == text and tok.kind in ("op", "ident")
 
     def accept(self, text: str) -> bool:
         if self.at(text):
@@ -204,12 +211,15 @@ class _Parser:
         negative = self.accept("-")
         if self.current.kind != "num":
             raise self._fail("expected integer constant")
-        text = self.advance().text
-        try:
-            value = int(text, 0)
-        except ValueError:
-            raise self._fail(f"bad integer literal {text!r}") from None
+        value = self.literal_value(self.advance())
         return -value if negative else value
+
+    def literal_value(self, tok: _Token) -> int:
+        """The value of number token ``tok``; errors point at the literal."""
+        try:
+            return int(tok.text, 0)
+        except ValueError:
+            raise self._fail(f"bad integer literal {tok.text!r}", tok) from None
 
     # -- expressions ---------------------------------------------------
     def parse_expr(self) -> Expr:
@@ -221,16 +231,21 @@ class _Parser:
             return Cond(expr, then, other)
         return expr
 
-    def parse_binary(self, level: int) -> Expr:
-        if level >= len(_BIN_LEVELS):
-            return self.parse_unary()
-        expr = self.parse_binary(level + 1)
-        ops = _BIN_LEVELS[level]
-        while self.current.kind == "op" and self.current.text in ops:
-            op = self.advance().text
-            rhs = self.parse_binary(level + 1)
-            expr = BinOp(op, expr, rhs)
-        return expr
+    def parse_binary(self, min_level: int) -> Expr:
+        """Precedence climbing: fold operators of level >= ``min_level``.
+
+        Each right operand binds only tighter operators, so equal levels
+        associate to the left — the tree one recursive function per
+        ``_BIN_LEVELS`` row would build, at one call per operand.
+        """
+        expr = self.parse_unary()
+        while True:
+            tok = self.current
+            level = _BIN_PREC.get(tok.text, -1) if tok.kind == "op" else -1
+            if level < min_level:
+                return expr
+            self.advance()
+            expr = BinOp(tok.text, expr, self.parse_binary(level + 1))
 
     def parse_unary(self) -> Expr:
         if self.current.kind == "op" and self.current.text in ("-", "~", "!"):
@@ -259,8 +274,7 @@ class _Parser:
                 grouped = grouping_paren and after.text == ")"
                 if not grouped:
                     self.advance()
-                    value = int(self.advance().text, 0)
-                    return IntConst(-value)
+                    return IntConst(-self.literal_value(self.advance()))
             op = self.advance().text
             return UnOp(op, self.parse_unary())
         if self.accept("+"):
@@ -273,11 +287,7 @@ class _Parser:
             self.expect(")")
             return expr
         if self.current.kind == "num":
-            text = self.advance().text
-            try:
-                return IntConst(int(text, 0))
-            except ValueError:
-                raise self._fail(f"bad integer literal {text!r}") from None
+            return IntConst(self.literal_value(self.advance()))
         if self.current.kind == "ident":
             name = self.advance().text
             if self.accept("("):

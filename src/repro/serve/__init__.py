@@ -44,9 +44,10 @@ bounded queue with deadline-aware adaptive batching, backpressure
 (typed :class:`~repro.serve.server.Overloaded` sheds), retries with
 jittered exponential backoff, a circuit breaker that degrades to the
 analytical models (:class:`~repro.serve.fallback.AnalyticalFallback`,
-responses tagged ``degraded=True``) and zero-downtime hot reload from
-the registry. See the :mod:`repro.serve.server` docstring for the full
-request lifecycle.
+responses tagged ``degraded=True``), zero-downtime hot reload from the
+registry, and one answer cache owned by the server that resolves repeated
+requests at admission (its worker services cache nothing). See the
+:mod:`repro.serve.server` docstring for the full request lifecycle.
 
 ``python -m repro.serve`` exposes all of this on the command line
 (``save`` / ``list`` / ``predict`` / ``bench`` / ``stress``), including

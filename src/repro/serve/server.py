@@ -10,12 +10,19 @@ drive it through :mod:`repro.faults`.
 
 Request lifecycle
 -----------------
-1. **Admission** — :meth:`PredictionServer.submit` encodes the request
-   (C source, AST program, or a ready :class:`~repro.graph.data.GraphData`),
-   validates it at the boundary, and stamps its deadline. A full queue
-   sheds the request immediately with a typed :class:`Overloaded` error
-   (counted in ``serve.shed``) — backpressure is explicit, never an
-   unbounded queue. Admission returns a :class:`ServerTicket`.
+1. **Admission** — :meth:`PredictionServer.submit` first looks the
+   request up in the server's answer cache: C source by the SHA-256 of
+   its text plus ``name`` and ``kind``, a program or graph by
+   :meth:`~repro.graph.data.GraphData.fingerprint`. A repeat of a request
+   that already got an ``ok`` model answer resolves right there, with
+   that answer and its ``model_version``, and never enters the queue
+   (``serve.cache_hits``); source repeats skip parsing and encoding too.
+   Otherwise admission encodes the request (C source, AST program, or a
+   ready :class:`~repro.graph.data.GraphData`), validates it at the
+   boundary, and stamps its deadline. A full queue sheds the request
+   immediately with a typed :class:`Overloaded` error (counted in
+   ``serve.shed``) — backpressure is explicit, never an unbounded queue.
+   Admission returns a :class:`ServerTicket`.
 2. **Batching** — worker threads collect adaptive batches from the shared
    bounded queue: a batch flushes when it reaches ``max_batch_size`` OR
    when the oldest eligible request has waited ``max_wait_ms``, whichever
@@ -24,8 +31,9 @@ Request lifecycle
    — no model time is spent on answers nobody is waiting for.
 3. **Evaluation** — the batch runs through the worker's own
    :class:`PredictionService` (per-worker predictor clone, shared metrics
-   registry), guarded by the circuit breaker and the ``serve.predict``
-   fault seam.
+   registry, no cache of its own — duplicates within a batch still share
+   one model row), guarded by the circuit breaker and the
+   ``serve.predict`` fault seam. Its ``ok`` rows enter the answer cache.
 4. **Retry** — a failed evaluation requeues its requests with exponential
    backoff plus seeded jitter (``serve.retries``), up to ``max_retries``
    per request and never beyond the request's deadline.
@@ -50,18 +58,23 @@ decide whether to close it again. The clock is injectable so tests drive
 the state machine without sleeping.
 
 **Hot reload** (:meth:`PredictionServer.reload`) bumps a generation
-token; each worker re-resolves its model from the
-:class:`~repro.serve.registry.ModelRegistry` before its next batch, so a
-newly registered version rolls in with zero downtime — in-flight batches
-finish on the old weights, later batches use the new ones.
+token and empties the answer cache; each worker re-resolves its model
+from the :class:`~repro.serve.registry.ModelRegistry` before its next
+batch, so a newly registered version rolls in with zero downtime —
+in-flight batches finish on the old weights, later batches use the new
+ones. A batch caches its rows only if its worker's generation is still
+the server's, so no answer of an older model is served from the cache
+once :meth:`~PredictionServer.reload` has returned.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import random
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,7 +166,13 @@ class ServerConfig:
     breaker_probes: int = 1
     #: Degrade to the analytical fallback instead of failing requests.
     degrade: bool = True
-    #: Per-worker service LRU capacity (see ServiceConfig.cache_size).
+    #: Capacity, in answers, of the server's answer cache (LRU): a repeat
+    #: of a request that already got an ``ok`` model answer resolves at
+    #: admission without entering the queue. Keys are the source text's
+    #: SHA-256 with ``name`` and ``kind``, or the graph fingerprint. Only
+    #: ``ok`` model rows are stored (never degraded or failed outcomes),
+    #: and :meth:`PredictionServer.reload` empties it. 0 disables it.
+    #: Worker services keep no cache of their own.
     cache_size: int = 1024
     #: Structurally validate requests at admission.
     validate: bool = True
@@ -176,6 +195,8 @@ class ServerConfig:
             raise ValueError("max_retries must be >= 0")
         if self.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
+        if self.cache_size < 0:
+            raise ValueError("cache_size must be >= 0")
 
 
 #: Serving-tier counters layered on top of the service's ``serve.*`` set.
@@ -314,6 +335,7 @@ class _ServerRequest:
     __slots__ = (
         "graph",
         "program",
+        "key",
         "enqueued",
         "deadline",
         "not_before",
@@ -324,13 +346,16 @@ class _ServerRequest:
 
     def __init__(
         self,
-        graph: GraphData,
+        graph: GraphData | None,
         program: Program | None,
         enqueued: float,
         deadline: float | None,
+        key=None,
     ):
         self.graph = graph
         self.program = program
+        #: Answer-cache key, also the worker's in-batch dedupe key.
+        self.key = key
         self.enqueued = enqueued
         self.deadline = deadline
         #: Earliest monotonic time this request may be batched (backoff).
@@ -410,9 +435,12 @@ class PredictionServer:
         self.config = config or ServerConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.stats = ServerStats(self.metrics)
+        # Admission hits count in the service's counters, so that
+        # cache_hits + cache_misses + coalesced == requests still holds.
         self._count = {
             name_: self.metrics.counter(f"serve.{name_}")
-            for name_ in _SERVER_FIELDS + ("rejected",)
+            for name_ in _SERVER_FIELDS
+            + ("rejected", "requests", "cache_hits", "evictions")
         }
         self._server_latency = self.metrics.timer("serve.server_latency_s")
         self._clock = clock
@@ -458,10 +486,15 @@ class PredictionServer:
             on_open=self._count["breaker_opens"].inc,
         )
 
+        # One lock guards the queue, the generation and the answer cache.
         self._cond = threading.Condition()
         self._queue: list[_ServerRequest] = []
         self._closing = False
         self._generation = 0
+        #: key -> (read-only ok row, model version that answered).
+        self._answers: OrderedDict[object, tuple[np.ndarray, int | None]] = (
+            OrderedDict()
+        )
         # Every worker's model loads here, before any thread starts: a
         # load error raises from the constructor instead of killing a
         # worker that admitted requests would then wait on forever. The
@@ -519,6 +552,7 @@ class PredictionServer:
     ) -> ServerTicket:
         """Admit one request (graph, AST program, or raw C source).
 
+        A repeat found in the answer cache resolves before this returns.
         Raises :class:`Overloaded` when the queue is full,
         :class:`ServerClosed` after :meth:`close`, and ``ValueError`` on
         boundary validation failure. Program-backed requests keep their
@@ -529,6 +563,11 @@ class PredictionServer:
             raise ValueError("provide exactly one of graph, source or program")
         self._count["submitted"].inc()
         if source is not None:
+            digest = hashlib.sha256(source.encode("utf-8", "surrogatepass"))
+            key = (digest.hexdigest(), name, kind)
+            ticket = self._answer(key)
+            if ticket is not None:
+                return ticket
             program = parse_c_source(source, name=name)
         if program is not None:
             graph = encode_program(
@@ -543,11 +582,16 @@ class PredictionServer:
             except ValueError:
                 self._count["rejected"].inc()
                 raise
+        if source is None:
+            key = graph.fingerprint()
+            ticket = self._answer(key)
+            if ticket is not None:
+                return ticket
         now = self._clock()
         if deadline_ms is None:
             deadline_ms = self.config.default_deadline_ms
         deadline = None if deadline_ms is None else now + deadline_ms / 1000.0
-        request = _ServerRequest(graph, program, now, deadline)
+        request = _ServerRequest(graph, program, now, deadline, key)
         with self._cond:
             if self._closing:
                 raise ServerClosed("server is closed")
@@ -560,6 +604,40 @@ class PredictionServer:
             self._queue.append(request)
             self._cond.notify()
         return ServerTicket(request)
+
+    def _answer(self, key) -> ServerTicket | None:
+        """A resolved ticket when ``key`` is in the answer cache, else None."""
+        if not self.config.cache_size:
+            return None
+        with self._cond:
+            if self._closing:
+                raise ServerClosed("server is closed")
+            hit = self._answers.get(key)
+            if hit is None:
+                return None
+            self._answers.move_to_end(key)
+        values, version = hit
+        for name_ in ("requests", "cache_hits", "completed"):
+            self._count[name_].inc()
+        request = _ServerRequest(None, None, self._clock(), None, key)
+        self._finish(
+            request, ServeOutcome(status="ok", values=values, model_version=version)
+        )
+        return ServerTicket(request)
+
+    def _remember(
+        self, state: _WorkerState, batch: list[_ServerRequest], rows: list[np.ndarray]
+    ) -> None:
+        """Cache a batch's ok rows, unless a reload overtook its worker."""
+        with self._cond:
+            if state.generation != self._generation:
+                return
+            for request, row in zip(batch, rows):
+                self._answers[request.key] = (row, state.version)
+                self._answers.move_to_end(request.key)
+            while len(self._answers) > self.config.cache_size:
+                self._answers.popitem(last=False)
+                self._count["evictions"].inc()
 
     def predict(
         self,
@@ -575,9 +653,10 @@ class PredictionServer:
     def reload(self) -> int:
         """Roll workers onto the registry's current model, zero-downtime.
 
-        Bumps the generation token; each worker re-resolves its predictor
-        before its next batch. In-flight batches finish on the old
-        weights. A candidate that fails to load (corrupt weights, torn
+        Bumps the generation token and empties the answer cache; each
+        worker re-resolves its predictor before its next batch. In-flight
+        batches finish on the old weights and are not cached. A candidate
+        that fails to load (corrupt weights, torn
         manifest, an architecture that does not match its weights) is
         skipped — the worker keeps its current model and counts
         ``serve.reload_skipped``. Returns the new generation.
@@ -585,6 +664,7 @@ class PredictionServer:
         with self._cond:
             self._generation += 1
             generation = self._generation
+            self._answers.clear()
             self._cond.notify_all()
         self._count["hot_reloads"].inc()
         return generation
@@ -632,7 +712,8 @@ class PredictionServer:
             predictor,
             ServiceConfig(
                 max_batch_size=self.config.max_batch_size,
-                cache_size=self.config.cache_size,
+                # The server's answer cache stands in front of every worker.
+                cache_size=0,
                 # Admission already validated; don't pay twice per batch.
                 validate=False,
                 stream_nodes=self.config.stream_nodes,
@@ -738,24 +819,30 @@ class PredictionServer:
         try:
             fault_point("serve.predict")
             graphs = [r.graph for r in live]
+            keys = [r.key for r in live]
             if self._predict_lock is not None:
                 with self._predict_lock:
-                    values = state.service.predict(graphs)
+                    values = state.service.predict(graphs, fingerprints=keys)
             else:
-                values = state.service.predict(graphs)
+                values = state.service.predict(graphs, fingerprints=keys)
         except Exception as exc:  # noqa: BLE001 - the whole point
             self._breaker.record_failure()
             self._count["model_failures"].inc()
             self._retry_or_degrade(live, exc)
             return
         self._breaker.record_success()
-        for request, row in zip(live, values):
+        rows = [np.array(row, dtype=np.float64) for row in values]
+        for row in rows:
+            row.flags.writeable = False  # shared with later cache hits
+        if self.config.cache_size:
+            self._remember(state, live, rows)
+        for request, row in zip(live, rows):
             self._count["completed"].inc()
             self._finish(
                 request,
                 ServeOutcome(
                     status="ok",
-                    values=np.asarray(row, dtype=np.float64),
+                    values=row,
                     retries=request.attempt,
                     model_version=state.version,
                 ),

@@ -31,13 +31,23 @@ test suite does) or by wrapping the check in ``default_dtype(np.float64)``.
 from __future__ import annotations
 
 import contextlib
+import threading
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.tensor import profiling as _profiling
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Per-thread grad mode: a ``no_grad`` block in one thread (say, a
+    serving worker) never changes whether another thread records a tape.
+    The class attribute is every thread's starting value."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
 
 _DEFAULT_DTYPE = np.dtype(np.float32)
 
@@ -68,20 +78,20 @@ def default_dtype(dtype):
 
 
 def is_grad_enabled() -> bool:
-    """Return whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
+    """Return whether operations in this thread record the autograd graph."""
+    return _GRAD_MODE.enabled
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager disabling graph construction (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager disabling graph construction (inference mode) in
+    the calling thread."""
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_MODE.enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -157,7 +167,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _GRAD_MODE.enabled
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
         self._grad_owned = False
@@ -226,7 +236,7 @@ class Tensor:
         out.grad = None
         out._grad_owned = False
         out.name = ""
-        needs = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        needs = _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
         out.requires_grad = needs
         if needs:
             out._parents = tuple(parents)

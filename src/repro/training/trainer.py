@@ -3,6 +3,9 @@
 Targets are regressed in ``log1p`` space (resource counts span three
 orders of magnitude) and mapped back with ``expm1`` for MAPE evaluation
 (clamped below float overflow: :func:`~repro.training.metrics.expm1_finite`).
+Gradients are clipped to ``grad_clip`` in global norm; a step whose norm
+is not finite is skipped, not taken, and counted in
+``train.nonfinite_grad``.
 
 All batching — training, validation, the predict/evaluate helpers —
 goes through :class:`BatchStream`, which draws one batch schedule
@@ -38,6 +41,7 @@ deterministically.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -386,8 +390,13 @@ def _fit(
                 forward_s += time.perf_counter() - mark
                 mark = time.perf_counter()
                 loss.backward()
-                clip_grad_norm(model.parameters(), config.grad_clip)
-                optimizer.step()
+                norm = clip_grad_norm(model.parameters(), config.grad_clip)
+                if math.isfinite(norm):
+                    optimizer.step()
+                else:
+                    # An inf/nan gradient would poison every weight (and
+                    # Adam's moments); drop this step and count it.
+                    registry.inc("train.nonfinite_grad")
                 backward_s += time.perf_counter() - mark
                 global_step += 1
                 weight = batch_weight(batch)

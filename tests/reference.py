@@ -13,15 +13,41 @@ lives here, so tests can compare the two with ``==``.
   re-scans the whole front for every item (what
   :func:`repro.dse.pareto.pareto_front` computes; the explorer now
   folds incrementally with :class:`repro.dse.pareto.ParetoFront`).
+- ``_tokenize``, ``_Parser`` and :func:`reference_parse_c_source` — the
+  character-at-a-time mini-C lexer and the one-function-per-precedence-
+  level recursive-descent parser (what :mod:`repro.frontend.parser` did
+  before it became one compiled regex plus precedence climbing). The
+  token stream, the AST and every error message must match.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.dse.pareto import dominates
+from repro.frontend.ast_ import (
+    ArrayRef,
+    Assign,
+    BinOp,
+    Call,
+    Cond,
+    Decl,
+    Expr,
+    For,
+    Function,
+    If,
+    IntConst,
+    Program,
+    Return,
+    Stmt,
+    UnOp,
+    Var,
+)
+from repro.frontend.ctypes_ import CArray, CInt, CType
+from repro.frontend.parser import ParseError
 from repro.hls.binding import bind_function
 from repro.hls.flow import HLSResult
 from repro.hls.fsm import fsm_cost
@@ -141,3 +167,391 @@ def reference_pareto_front(items, key):
         front.append(item)
         seen.add(objectives)
     return sorted(front, key=lambda item: tuple(key(item)))
+
+
+# ---------------------------------------------------------------------------
+# Lexer
+# ---------------------------------------------------------------------------
+_MULTI_OPS = ("<<", ">>", "<=", ">=", "==", "!=", "++", "--", "+=", "-=",
+              "*=", "&=", "|=", "^=")
+_SINGLE_OPS = "+-*/%&|^<>=!~?:()[]{};,"
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # "ident" | "num" | "op" | "eof"
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize(source: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    i, line, col = 0, 1, 1
+    n = len(source)
+
+    def advance(count: int) -> None:
+        nonlocal i, line, col
+        for _ in range(count):
+            if source[i] == "\n":
+                line += 1
+                col = 1
+            else:
+                col += 1
+            i += 1
+
+    while i < n:
+        ch = source[i]
+        if ch in " \t\r\n":
+            advance(1)
+            continue
+        if ch == "#":  # preprocessor line (e.g. "#include <stdint.h>")
+            end = source.find("\n", i)
+            advance((end if end != -1 else n) - i)
+            continue
+        if source.startswith("//", i):
+            end = source.find("\n", i)
+            advance((end if end != -1 else n) - i)
+            continue
+        if source.startswith("/*", i):
+            end = source.find("*/", i + 2)
+            if end == -1:
+                raise ParseError(f"unterminated comment at line {line}")
+            advance(end + 2 - i)
+            continue
+        if ch.isdigit():
+            start, start_col = i, col
+            while i < n and (source[i].isdigit() or source[i] in "xXabcdefABCDEF"):
+                advance(1)
+            tokens.append(_Token("num", source[start:i], line, start_col))
+            continue
+        if ch.isalpha() or ch == "_":
+            start, start_col = i, col
+            while i < n and (source[i].isalnum() or source[i] == "_"):
+                advance(1)
+            tokens.append(_Token("ident", source[start:i], line, start_col))
+            continue
+        matched = next((op for op in _MULTI_OPS if source.startswith(op, i)), None)
+        if matched is not None:
+            tokens.append(_Token("op", matched, line, col))
+            advance(len(matched))
+            continue
+        if ch in _SINGLE_OPS:
+            tokens.append(_Token("op", ch, line, col))
+            advance(1)
+            continue
+        raise ParseError(f"unexpected character {ch!r} at line {line}:{col}")
+    tokens.append(_Token("eof", "", line, col))
+    return tokens
+
+
+# ---------------------------------------------------------------------------
+# Parser
+# ---------------------------------------------------------------------------
+_FIXED_WIDTH = {
+    f"{prefix}int{width}_t": CInt(width, signed=not prefix)
+    for width in (8, 16, 32, 64)
+    for prefix in ("", "u")
+}
+_OP_ASSIGN = {"+=": "+", "-=": "-", "*=": "*", "&=": "&", "|=": "|", "^=": "^"}
+
+# Lowest binding first; each row is one precedence level.
+_BIN_LEVELS = (
+    ("|",),
+    ("^",),
+    ("&",),
+    ("==", "!="),
+    ("<", "<=", ">", ">="),
+    ("<<", ">>"),
+    ("+", "-"),
+    ("*", "/", "%"),
+)
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    # -- token plumbing ------------------------------------------------
+    @property
+    def current(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def _fail(self, message: str) -> ParseError:
+        tok = self.current
+        where = f"line {tok.line}:{tok.col}"
+        shown = tok.text or "<eof>"
+        return ParseError(f"{message} (got {shown!r} at {where})")
+
+    def advance(self) -> _Token:
+        token = self.current
+        if token.kind != "eof":
+            self.pos += 1
+        return token
+
+    def at(self, text: str) -> bool:
+        return self.current.text == text and self.current.kind in ("op", "ident")
+
+    def accept(self, text: str) -> bool:
+        if self.at(text):
+            self.advance()
+            return True
+        return False
+
+    def expect(self, text: str) -> _Token:
+        if not self.at(text):
+            raise self._fail(f"expected {text!r}")
+        return self.advance()
+
+    def expect_ident(self) -> str:
+        if self.current.kind != "ident":
+            raise self._fail("expected identifier")
+        return self.advance().text
+
+    # -- types ---------------------------------------------------------
+    def at_type(self) -> bool:
+        text = self.current.text
+        return self.current.kind == "ident" and (
+            text in _FIXED_WIDTH or text in ("ap_int", "ap_uint", "int")
+        )
+
+    def parse_scalar_type(self) -> CInt:
+        name = self.expect_ident()
+        if name in _FIXED_WIDTH:
+            return _FIXED_WIDTH[name]
+        if name == "int":
+            return CInt(32)
+        if name in ("ap_int", "ap_uint"):
+            self.expect("<")
+            width = self.parse_int_literal()
+            self.expect(">")
+            return CInt(width, signed=name == "ap_int")
+        raise self._fail(f"unknown type {name!r}")
+
+    def parse_int_literal(self) -> int:
+        negative = self.accept("-")
+        if self.current.kind != "num":
+            raise self._fail("expected integer constant")
+        text = self.advance().text
+        try:
+            value = int(text, 0)
+        except ValueError:
+            raise self._fail(f"bad integer literal {text!r}") from None
+        return -value if negative else value
+
+    # -- expressions ---------------------------------------------------
+    def parse_expr(self) -> Expr:
+        expr = self.parse_binary(0)
+        if self.accept("?"):
+            then = self.parse_expr()
+            self.expect(":")
+            other = self.parse_expr()
+            return Cond(expr, then, other)
+        return expr
+
+    def parse_binary(self, level: int) -> Expr:
+        if level >= len(_BIN_LEVELS):
+            return self.parse_unary()
+        expr = self.parse_binary(level + 1)
+        ops = _BIN_LEVELS[level]
+        while self.current.kind == "op" and self.current.text in ops:
+            op = self.advance().text
+            rhs = self.parse_binary(level + 1)
+            expr = BinOp(op, expr, rhs)
+        return expr
+
+    def parse_unary(self) -> Expr:
+        if self.current.kind == "op" and self.current.text in ("-", "~", "!"):
+            # Disambiguate negative literals from unary negation: the
+            # printer emits ``IntConst(-n)`` bare (``x + -1``) but wraps
+            # ``UnOp`` in parens (``x + (-1)``), and the two lower to
+            # different IR (a constant vs a SUB), so preserve the split.
+            if self.current.text == "-" and self.tokens[self.pos + 1].kind == "num":
+                prev = self.tokens[self.pos - 1] if self.pos else None
+                after = self.tokens[self.pos + 2]
+                # A ``(`` directly after an identifier is a call paren or
+                # the ``if``/``for`` condition paren — in both the printer
+                # emits literals bare (``abs(-1)``, ``if (-1)``), so the
+                # literal survives. ``return`` is the one keyword followed
+                # by a *grouping* paren (``return (-1);`` is a UnOp).
+                before_prev = self.tokens[self.pos - 2] if self.pos >= 2 else None
+                grouping_paren = (
+                    prev is not None
+                    and prev.text == "("
+                    and (
+                        before_prev is None
+                        or before_prev.kind != "ident"
+                        or before_prev.text == "return"
+                    )
+                )
+                grouped = grouping_paren and after.text == ")"
+                if not grouped:
+                    self.advance()
+                    value = int(self.advance().text, 0)
+                    return IntConst(-value)
+            op = self.advance().text
+            return UnOp(op, self.parse_unary())
+        if self.accept("+"):
+            return self.parse_unary()
+        return self.parse_primary()
+
+    def parse_primary(self) -> Expr:
+        if self.accept("("):
+            expr = self.parse_expr()
+            self.expect(")")
+            return expr
+        if self.current.kind == "num":
+            text = self.advance().text
+            try:
+                return IntConst(int(text, 0))
+            except ValueError:
+                raise self._fail(f"bad integer literal {text!r}") from None
+        if self.current.kind == "ident":
+            name = self.advance().text
+            if self.accept("("):
+                args: list[Expr] = []
+                if not self.at(")"):
+                    args.append(self.parse_expr())
+                    while self.accept(","):
+                        args.append(self.parse_expr())
+                self.expect(")")
+                return Call(name, tuple(args))
+            if self.accept("["):
+                index = self.parse_expr()
+                self.expect("]")
+                return ArrayRef(name, index)
+            return Var(name)
+        raise self._fail("expected expression")
+
+    # -- statements ----------------------------------------------------
+    def parse_block(self) -> list[Stmt]:
+        self.expect("{")
+        body: list[Stmt] = []
+        while not self.at("}"):
+            body.append(self.parse_stmt())
+        self.expect("}")
+        return body
+
+    def parse_stmt(self) -> Stmt:
+        if self.at("return"):
+            self.advance()
+            expr = self.parse_expr()
+            self.expect(";")
+            return Return(expr)
+        if self.at("if"):
+            return self.parse_if()
+        if self.at("for"):
+            return self.parse_for()
+        if self.at_type():
+            return self.parse_decl()
+        return self.parse_assign()
+
+    def parse_decl(self) -> Decl:
+        ctype: CType = self.parse_scalar_type()
+        name = self.expect_ident()
+        if self.accept("["):
+            length = self.parse_int_literal()
+            self.expect("]")
+            self.expect(";")
+            return Decl(name, CArray(ctype, length))
+        init = self.parse_expr() if self.accept("=") else None
+        self.expect(";")
+        return Decl(name, ctype, init)
+
+    def parse_assign(self) -> Assign:
+        target = self.parse_primary()
+        if not isinstance(target, (Var, ArrayRef)):
+            raise self._fail("assignment target must be a variable or array element")
+        if self.current.kind == "op" and self.current.text in _OP_ASSIGN:
+            op = _OP_ASSIGN[self.advance().text]
+            expr: Expr = BinOp(op, target, self.parse_expr())
+        else:
+            self.expect("=")
+            expr = self.parse_expr()
+        self.expect(";")
+        return Assign(target, expr)
+
+    def parse_if(self) -> If:
+        self.expect("if")
+        self.expect("(")
+        cond = self.parse_expr()
+        self.expect(")")
+        then_body = self.parse_block()
+        else_body: list[Stmt] = []
+        if self.accept("else"):
+            else_body = self.parse_block()
+        return If(cond, then_body, else_body)
+
+    def parse_for(self) -> For:
+        self.expect("for")
+        self.expect("(")
+        if self.at("int") or self.at_type():
+            self.parse_scalar_type()
+        var = self.expect_ident()
+        self.expect("=")
+        start = self.parse_int_literal()
+        self.expect(";")
+        if self.expect_ident() != var:
+            raise self._fail(f"loop condition must test {var!r}")
+        if self.current.kind != "op" or self.current.text not in ("<", ">", "<=", ">="):
+            raise self._fail("expected <, <=, > or >= in loop condition")
+        comparison = self.advance().text
+        bound = self.parse_int_literal()
+        self.expect(";")
+        if self.expect_ident() != var:
+            raise self._fail(f"loop increment must update {var!r}")
+        if self.accept("++"):
+            step = 1
+        elif self.accept("--"):
+            step = -1
+        elif self.accept("+="):
+            step = self.parse_int_literal()
+        elif self.accept("-="):
+            step = -self.parse_int_literal()
+        else:
+            raise self._fail("expected ++, --, += or -= in loop increment")
+        # Inclusive bounds normalise to the canonical strict form.
+        if comparison == "<=":
+            bound += 1
+        elif comparison == ">=":
+            bound -= 1
+        self.expect(")")
+        body = self.parse_block()
+        return For(var, start, bound, step, body)
+
+    # -- functions and programs ----------------------------------------
+    def parse_param(self) -> tuple[str, CType]:
+        ctype: CType = self.parse_scalar_type()
+        name = self.expect_ident()
+        if self.accept("["):
+            length = self.parse_int_literal()
+            self.expect("]")
+            return name, CArray(ctype, length)
+        return name, ctype
+
+    def parse_function(self) -> Function:
+        ret_type = self.parse_scalar_type()
+        name = self.expect_ident()
+        self.expect("(")
+        params: list[tuple[str, CType]] = []
+        if not self.at(")"):
+            params.append(self.parse_param())
+            while self.accept(","):
+                params.append(self.parse_param())
+        self.expect(")")
+        body = self.parse_block()
+        return Function(name, params, ret_type, body)
+
+    def parse_program(self, name: str | None = None) -> Program:
+        functions: list[Function] = []
+        while self.current.kind != "eof":
+            functions.append(self.parse_function())
+        if not functions:
+            raise ParseError("source contains no functions")
+        return Program(name or functions[0].name, functions)
+
+
+def reference_parse_c_source(source: str, name: str | None = None) -> Program:
+    """The old parser end to end (see :func:`repro.frontend.parse_c_source`)."""
+    return _Parser(_tokenize(source)).parse_program(name)

@@ -1,5 +1,7 @@
 """Unit tests for optimisers, schedulers and gradient clipping."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,32 @@ class TestClipGradNorm:
         w.grad = np.array([0.3])
         clip_grad_norm([w], max_norm=5.0)
         np.testing.assert_allclose(w.grad, [0.3])
+
+    def test_float32_norm_beyond_its_range_still_clips(self):
+        # (1e20)**2 overflows float32; the old norm was inf, its scale 0,
+        # and every gradient was zeroed.
+        w = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        w.grad = np.array([1e20, 0.5], dtype=np.float32)
+        v = Tensor(np.ones(1, dtype=np.float32), requires_grad=True)
+        v.grad = np.array([1e20], dtype=np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow RuntimeWarning
+            total = clip_grad_norm([w, v], max_norm=5.0)
+        np.testing.assert_allclose(total, np.sqrt(2.0) * 1e20, rtol=1e-6)
+        assert w.grad.dtype == np.float32
+        np.testing.assert_allclose(
+            np.concatenate([w.grad, v.grad]),
+            [5.0 / np.sqrt(2.0), 0.0, 5.0 / np.sqrt(2.0)],
+            rtol=1e-5, atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_gradient_is_reported_and_left_alone(self, bad):
+        w = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        w.grad = np.array([bad, 3.0], dtype=np.float32)
+        total = clip_grad_norm([w], max_norm=1.0)
+        assert not np.isfinite(total)
+        np.testing.assert_array_equal(w.grad, np.array([bad, 3.0], np.float32))
 
     def test_no_grads_returns_zero(self):
         assert clip_grad_norm([Tensor([1.0], requires_grad=True)], 1.0) == 0.0

@@ -7,12 +7,16 @@ beyond the injected latency spikes (<= 50 ms total per test)."""
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, InjectedFault, use_faults
+from repro.frontend import to_c_source
+from repro.ldrgen.config import GeneratorConfig
+from repro.ldrgen.generator import generate_sample
 from repro.models import OffTheShelfPredictor
 from repro.serve import ModelRegistry
 from repro.serve.fallback import AnalyticalFallback
@@ -309,6 +313,197 @@ class TestPredictionServer:
     def test_constructor_contract(self):
         with pytest.raises(ValueError, match="exactly one"):
             PredictionServer(None)
+
+
+# ---------------------------------------------------------------------------
+# Answer cache at admission (stub predictor)
+# ---------------------------------------------------------------------------
+def c_source(index: int) -> str:
+    return to_c_source(generate_sample(GeneratorConfig.dfg(), 0, index))
+
+
+class CountingStub(StubPredictor):
+    """Rows tagged with the model call that produced them (row + 10*call),
+    so an answer from an earlier call is told apart from a fresh one."""
+
+    def predict(self, graphs, batch_size=32):
+        self.calls += 1
+        return np.tile(np.arange(4.0) + 10 * self.calls, (len(graphs), 1))
+
+
+def assert_counts_add_up(stats) -> None:
+    assert stats.cache_hits + stats.cache_misses + stats.coalesced == stats.requests
+
+
+class TestAnswerCache:
+    def test_repeats_resolve_inside_submit(self, dfg_samples):
+        stub = CountingStub()
+        source = c_source(0)
+        with PredictionServer.from_predictor(stub, config=fast_config()) as server:
+            first = server.submit(source=source).outcome(timeout=5.0)
+            graph_first = server.submit(dfg_samples[0]).outcome(timeout=5.0)
+            assert stub.calls == 2
+            again = server.submit(source=source)
+            graph_again = server.submit(dfg_samples[0])
+            # Resolved before submit returned: never queued, no model call.
+            assert again.done and graph_again.done
+            assert stub.calls == 2
+            for ticket, original in ((again, first), (graph_again, graph_first)):
+                outcome = ticket.outcome(timeout=0)
+                assert outcome.status == "ok" and not outcome.degraded
+                np.testing.assert_array_equal(outcome.values, original.values)
+                assert outcome.model_version == original.model_version
+            # The cached row is shared read-only; result() hands out a copy.
+            assert not again.outcome().values.flags.writeable
+            again.result()[0] = -1.0
+            np.testing.assert_array_equal(again.result(), first.values)
+            # Another name or kind is another key.
+            server.submit(source=source, name="other").outcome(timeout=5.0)
+            server.submit(source=source, kind="cdfg").outcome(timeout=5.0)
+            assert stub.calls == 4
+        stats = server.stats
+        assert stats.submitted == stats.completed == 6
+        assert stats.cache_hits == 2
+        assert_counts_add_up(stats)
+
+    def test_program_request_hits_on_the_graph_fingerprint(self):
+        stub = CountingStub()
+        program = make_loop_program()
+        with PredictionServer.from_predictor(stub, config=fast_config()) as server:
+            first = server.submit(program=program, kind="cdfg").outcome(timeout=5.0)
+            again = server.submit(program=make_loop_program(), kind="cdfg")
+            assert again.done
+            np.testing.assert_array_equal(again.result(), first.values)
+        assert stub.calls == 1
+
+    def test_hit_after_close_raises_server_closed(self):
+        source = c_source(0)
+        server = PredictionServer.from_predictor(StubPredictor(), config=fast_config())
+        server.submit(source=source).outcome(timeout=5.0)
+        assert server.submit(source=source).done  # a hit while open
+        server.close()
+        with pytest.raises(ServerClosed):
+            server.submit(source=source)
+
+    def test_reload_drops_answers_of_a_batch_that_finishes_after_it(
+        self, dfg_samples
+    ):
+        class GatedStub(CountingStub):
+            def __init__(self):
+                super().__init__()
+                self.entered = threading.Event()
+                self.release = threading.Event()
+
+            def predict(self, graphs, batch_size=32):
+                if self.calls == 0:
+                    self.entered.set()
+                    assert self.release.wait(5.0)
+                return super().predict(graphs, batch_size)
+
+        stub = GatedStub()
+        with PredictionServer.from_predictor(stub, config=fast_config()) as server:
+            old = server.submit(dfg_samples[0])
+            assert stub.entered.wait(5.0)  # the batch is on the old model
+            server.reload()
+            stub.release.set()
+            np.testing.assert_array_equal(
+                old.result(timeout=5.0), np.arange(4.0) + 10
+            )
+            # The old generation's row was not cached: a fresh evaluation.
+            fresh = server.submit(dfg_samples[0])
+            np.testing.assert_array_equal(
+                fresh.result(timeout=5.0), np.arange(4.0) + 20
+            )
+            assert server.submit(dfg_samples[0]).done  # cached now
+        assert stub.calls == 2
+
+    def test_reload_empties_the_cache(self):
+        stub = CountingStub()
+        source = c_source(0)
+        with PredictionServer.from_predictor(stub, config=fast_config()) as server:
+            server.submit(source=source).outcome(timeout=5.0)
+            server.reload()
+            again = server.submit(source=source)
+            np.testing.assert_array_equal(again.result(timeout=5.0), np.arange(4.0) + 20)
+        assert stub.calls == 2
+
+    def test_degraded_and_failed_outcomes_are_not_cached(self, dfg_samples):
+        for degrade, status in ((True, "degraded"), (False, "failed")):
+            stub = CountingStub()
+            config = fast_config(max_retries=0, degrade=degrade)
+            with use_faults(fail_plan(1)):
+                with PredictionServer.from_predictor(stub, config=config) as server:
+                    first = server.submit(dfg_samples[0]).outcome(timeout=5.0)
+                    assert first.status == status
+                    second = server.submit(dfg_samples[0]).outcome(timeout=5.0)
+            assert second.status == "ok"
+            assert stub.calls == 1  # the repeat reached the model
+            assert server.stats.cache_hits == 0
+
+    def test_cache_size_zero_disables_the_cache(self):
+        stub = CountingStub()
+        source = c_source(0)
+        config = fast_config(cache_size=0)
+        with PredictionServer.from_predictor(stub, config=config) as server:
+            for _ in range(3):
+                server.submit(source=source).outcome(timeout=5.0)
+        assert stub.calls == 3
+        assert server.stats.cache_hits == 0
+        assert server.stats.cache_misses == 3
+        with pytest.raises(ValueError, match="cache_size"):
+            ServerConfig(cache_size=-1)
+
+    def test_least_recently_used_answer_is_evicted(self):
+        stub = CountingStub()
+        sources = [c_source(i) for i in range(3)]
+        config = fast_config(cache_size=2)
+        with PredictionServer.from_predictor(stub, config=config) as server:
+            for source in sources:
+                server.submit(source=source).outcome(timeout=5.0)
+            assert server.submit(source=sources[2]).done
+            assert server.stats.evictions == 1
+            # sources[0] was the least recently used: evaluated again.
+            server.submit(source=sources[0]).outcome(timeout=5.0)
+        assert stub.calls == 4
+        assert server.stats.cache_hits == 1
+
+    def test_eight_threads_one_source_each_resolve_exactly_once(self):
+        stub = StubPredictor()
+        source = c_source(0)
+        config = fast_config(queue_depth=32, max_batch_size=8, max_wait_ms=1.0)
+        with PredictionServer.from_predictor(stub, config=config) as server:
+            finished = []
+            finish = server._finish
+
+            def counting_finish(request, outcome):
+                finished.append(request)  # held, so ids stay unique
+                finish(request, outcome)
+
+            server._finish = counting_finish
+            for _ in range(2):  # a cold round, then an all-hit round
+                barrier = threading.Barrier(8)
+                tickets = [None] * 8
+
+                def submit(slot):
+                    barrier.wait(5.0)
+                    tickets[slot] = server.submit(source=source)
+
+                threads = [
+                    threading.Thread(target=submit, args=(slot,)) for slot in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(5.0)
+                rows = [ticket.result(timeout=5.0) for ticket in tickets]
+                for row in rows:
+                    np.testing.assert_array_equal(row, np.arange(4.0))
+            assert len(finished) == len({id(r) for r in finished}) == 16
+        stats = server.stats
+        assert stats.submitted == stats.completed == 16
+        assert stats.cache_hits >= 8
+        assert_counts_add_up(stats)
+        assert stats.model_graphs <= stats.cache_misses
 
 
 # ---------------------------------------------------------------------------

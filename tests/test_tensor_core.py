@@ -108,6 +108,45 @@ class TestBackwardBasics:
             out = a * 2.0
         assert not out.requires_grad
 
+    def test_no_grad_is_per_thread(self):
+        """Two threads' no_grad blocks overlap, A entering first and
+        leaving first: with one process-wide flag, B's exit restored the
+        False it saw on entry and left grad mode off for every thread."""
+        import threading
+
+        from repro.nn import Parameter
+        from repro.tensor import is_grad_enabled
+
+        a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+        seen = {}
+
+        def first():
+            with no_grad():
+                a_in.set()
+                b_in.wait(5)
+                seen["main_while_a_inside"] = main_view.wait(5) and main_state[0]
+            a_out.set()
+
+        def second():
+            a_in.wait(5)
+            with no_grad():
+                b_in.set()
+                a_out.wait(5)
+
+        main_state = []
+        main_view = threading.Event()
+        threads = [threading.Thread(target=first), threading.Thread(target=second)]
+        for thread in threads:
+            thread.start()
+        a_in.wait(5)
+        main_state.append(is_grad_enabled())  # another thread's no_grad
+        main_view.set()
+        for thread in threads:
+            thread.join(5)
+        assert seen["main_while_a_inside"] is True
+        assert is_grad_enabled()
+        assert Parameter(np.zeros(2)).requires_grad
+
     def test_diamond_graph_gradient(self):
         # f = (a + a*2) -> grad 3
         a = Tensor([1.0], requires_grad=True)

@@ -197,6 +197,36 @@ class TestTrainerRegression:
                 assert registry.counter("predict.nonfinite_clamped").value == 2 * 4
 
 
+    def test_nonfinite_gradient_skips_the_step(self, dfg_samples, monkeypatch):
+        import repro.training.trainer as trainer_module
+        from repro.obs import MetricsRegistry, use_registry
+        from repro.optim import clip_grad_norm
+
+        train, val = dfg_samples[:8], dfg_samples[8:12]
+        model = GraphRegressor(
+            "gcn", in_dim=train[0].feature_dim, hidden_dim=8, num_layers=1,
+            num_edge_types=TYPES, rng=np.random.default_rng(0),
+        )
+        before = {k: v.copy() for k, v in model.state_dict().items()}
+        calls = []
+
+        def poisoned(parameters, max_norm):
+            parameters = list(parameters)
+            parameters[0].grad = np.full_like(parameters[0].grad, np.inf)
+            calls.append(1)
+            return clip_grad_norm(parameters, max_norm)
+
+        monkeypatch.setattr(trainer_module, "clip_grad_norm", poisoned)
+        with use_registry(MetricsRegistry()) as registry:
+            train_graph_regressor(
+                model, train, val, TrainConfig(epochs=2, batch_size=4, lr=1e-2)
+            )
+            skipped = registry.counter("train.nonfinite_grad").value
+        assert skipped == len(calls) == 4
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+
+
 class TestTrainerNodeClassifier:
     def test_training_improves_accuracy(self, dfg_samples):
         train, val = dfg_samples[:16], dfg_samples[16:20]
