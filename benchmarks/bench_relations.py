@@ -41,6 +41,7 @@ from benchmarks.conftest import write_bench_json
 from repro.gnn.network import GraphRegressor
 from repro.graph.batch import Batch
 from repro.graph.data import GraphData
+from repro.obs import best_of
 from repro.tensor import default_dtype, no_grad, use_fused_relations
 
 #: ci-scale hidden width (REPRO_SCALE=ci presets use hidden_dim=40).
@@ -58,17 +59,6 @@ AGREEMENT_ATOL = 1e-4
 #: runners and overrides this down (agreement still hard-gates there) so
 #: scheduler jitter cannot red unrelated PRs.
 MIN_RGCN_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "3.0"))
-
-
-def _best_of(fn, repeats: int = 3, inner: int = 2) -> float:
-    fn()  # warm caches (plans, fusions, numpy buffers)
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        best = min(best, (time.perf_counter() - start) / inner)
-    return best
 
 
 def _synthetic_batch(seed: int = 7) -> Batch:
@@ -110,7 +100,7 @@ def _step_time(model: GraphRegressor, batch: Batch) -> float:
         for p in model.parameters():
             p.grad = None
 
-    return _best_of(step, repeats=2, inner=2)
+    return best_of(step, repeats=2, warmup=1, inner=2)
 
 
 def _measure() -> dict:

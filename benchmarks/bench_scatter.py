@@ -7,7 +7,8 @@ Three views of the same substrate:
 - **model-level** — a full forward+backward training step of the
   scatter-dominated GCN stack and of the relational RGCN stack on one
   reused batch, planned (cached :class:`GraphContext` plans + CSR
-  kernels) vs the unbuffered fallback kernels;
+  kernels) vs the unbuffered fallback kernels, the two legs timed in
+  alternating rounds (``_interleaved``) so host drift hits both;
 - **backend-level** — the same GCN step on a *skew-heavy* batch
   (zipf-distributed targets: a few hub nodes absorb most edges) under
   every registered scatter backend, recorded as a per-backend metric
@@ -25,9 +26,9 @@ least a 3x end-to-end step speedup on the scatter-dominated model.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import time
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from benchmarks.conftest import write_bench_json
 from repro.gnn.network import GraphRegressor
 from repro.graph.batch import Batch
 from repro.graph.data import GraphData
+from repro.obs import best_of
 from repro.tensor import (
     SegmentPlan,
     Tensor,
@@ -52,6 +54,12 @@ from repro.tensor import (
 
 #: ci-scale hidden width (REPRO_SCALE=ci presets use hidden_dim=40).
 WIDTH = 40
+#: ``best_of`` settings of one op-grid timing: warm, best of 3 x 2 calls.
+OP_TIMING = {"repeats": 3, "warmup": 1, "inner": 2}
+#: Interleaved rounds of the planned/fallback model steps and of the
+#: per-backend skew steps.
+MODEL_ROUNDS = 8
+BACKEND_ROUNDS = 4
 #: Edge counts spanning one small graph to a full ci training batch.
 SIZES = {"small": 2_000, "medium": 12_000, "large": 50_000}
 
@@ -63,14 +71,21 @@ OPS = {
 }
 
 
-def _best_of(fn, repeats: int = 3, inner: int = 2) -> float:
-    fn()  # warm caches (plans, CSR operators, numpy buffers)
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        best = min(best, (time.perf_counter() - start) / inner)
+def _interleaved(step, legs: dict, rounds: int) -> dict:
+    """Best per-call seconds of ``step`` under each leg's context.
+
+    ``legs`` maps a label to a factory of the context to time in. The
+    legs alternate round by round, so a slow spell of the host lands on
+    every leg instead of deciding their ratio.
+    """
+    best = dict.fromkeys(legs, np.inf)
+    for round_index in range(rounds):
+        for label, context in legs.items():
+            with context():
+                seconds = best_of(
+                    step, repeats=1, warmup=int(round_index == 0), inner=2
+                )
+            best[label] = min(best[label], seconds)
     return best
 
 
@@ -90,8 +105,8 @@ def _op_grid(rng: np.random.Generator) -> dict:
                 src.grad = None
 
             timings = grid.setdefault(op_name, {}).setdefault(size_name, {})
-            timings["planned"] = _best_of(lambda: step(current_plan=plan))
-            timings["fallback"] = _best_of(step)
+            timings["planned"] = best_of(lambda: step(current_plan=plan), **OP_TIMING)
+            timings["fallback"] = best_of(step, **OP_TIMING)
 
         # gather backward (the other half of message passing's cost).
         nodes = Tensor(rng.normal(size=(num_nodes, WIDTH)), requires_grad=True)
@@ -102,8 +117,8 @@ def _op_grid(rng: np.random.Generator) -> dict:
             nodes.grad = None
 
         timings = grid.setdefault("gather", {}).setdefault(size_name, {})
-        timings["planned"] = _best_of(lambda: gather_step(plan))
-        timings["fallback"] = _best_of(gather_step)
+        timings["planned"] = best_of(lambda: gather_step(plan), **OP_TIMING)
+        timings["fallback"] = best_of(gather_step, **OP_TIMING)
     return grid
 
 
@@ -150,10 +165,11 @@ def _model_steps(rng: np.random.Generator) -> dict:
             for p in model.parameters():
                 p.grad = None
 
-        timings = {}
-        for label, enabled in (("planned", True), ("fallback", False)):
-            with use_plans(enabled):
-                timings[label] = _best_of(step, repeats=2, inner=2)
+        timings = _interleaved(
+            step,
+            {"planned": lambda: use_plans(True), "fallback": lambda: use_plans(False)},
+            MODEL_ROUNDS,
+        )
         timings["speedup"] = round(timings["fallback"] / timings["planned"], 2)
         results[model_name] = timings
     return results
@@ -214,13 +230,16 @@ def _backend_steps(rng: np.random.Generator) -> dict:
     }
     with use_plans(False):
         reference = step()
-        fallback = _best_of(step, repeats=2, inner=2)
-    timings: dict[str, object] = {"fallback": fallback, "speedup": {}}
+    legs = {"fallback": lambda: use_plans(False)}
     for name in available_backends():
         with use_backend(name):
             np.testing.assert_allclose(step(), reference, rtol=1e-3, atol=1e-4)
-            timings[name] = _best_of(step, repeats=2, inner=2)
-            timings["speedup"][name] = round(fallback / timings[name], 2)
+        legs[name] = functools.partial(use_backend, name)
+    timings: dict[str, object] = _interleaved(step, legs, BACKEND_ROUNDS)
+    timings["speedup"] = {
+        name: round(timings["fallback"] / timings[name], 2)
+        for name in available_backends()
+    }
     timings["bucketed_vs_csr"] = round(timings["csr"] / timings["bucketed"], 2)
     results["gcn_skew"] = timings
     return results

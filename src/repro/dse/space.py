@@ -86,7 +86,8 @@ class DesignSpace:
             raise ValueError("need at least one clock option")
         self.program = program
         self.knobs = knobs
-        self.clock_options = tuple(float(c) for c in clock_options)
+        # Repeated clocks would count points ``points()`` yields twice.
+        self.clock_options = tuple(dict.fromkeys(float(c) for c in clock_options))
 
     @classmethod
     def from_program(

@@ -5,11 +5,16 @@ them through ``evaluator.evaluate_many`` — batching is what lets the
 predictor backend amortise one fused model call over many candidates.
 Revisited points are deduplicated by the explorer (and, one level down,
 by the prediction service's fingerprint cache), so strategies are free
-to propose aggressively.
+to propose aggressively. A greedy or evolutionary generation that
+proposes no novel point is topped up with unvisited points in
+``space.points()`` order (no random draw), so a search reaches its
+budget whenever the space has that many points; a generation that
+finds nothing new even then ends the search.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -80,6 +85,12 @@ class _Explorer:
         #: Sorted frontier after each generation (parallel to
         #: ``generation_sizes``).
         self.fronts: list[list[DesignEvaluation]] = []
+        #: Cursor over ``space.points()`` for :meth:`top_up`; points it
+        #: passes are seen, and seen points never become unseen. It
+        #: closes over ``seen``, not ``self``, so the explorer stays free
+        #: of reference cycles.
+        seen = self.seen
+        self._unvisited = (p for p in space.points() if p not in seen)
 
     @property
     def remaining(self) -> int:
@@ -111,6 +122,12 @@ class _Explorer:
         self._front.extend(evaluations)
         self.fronts.append(self._front.snapshot())
         return evaluations
+
+    def top_up(self) -> list[DesignEvaluation]:
+        """Evaluate the next batch of unvisited points in enumeration
+        order — the fallback for a generation that found nothing new."""
+        count = min(self.batch_size, self.remaining)
+        return self.run_batch(list(itertools.islice(self._unvisited, count)))
 
     def random_batch(self, rng: np.random.Generator, count: int) -> list[DesignPoint]:
         # Oversample: collisions with ``seen`` are dropped by run_batch.
@@ -150,8 +167,7 @@ def _epsilon_greedy(
     # Warm-up seeds the frontier but must leave budget to exploit.
     warmup = min(explorer.batch_size, max(4, explorer.remaining // 4))
     explorer.run_batch(explorer.random_batch(rng, warmup), limit=warmup)
-    stall = 0
-    while not explorer.exhausted and stall < 8:
+    while not explorer.exhausted:
         frontier = explorer.frontier()
         candidates: list[DesignPoint] = []
         for _ in range(explorer.batch_size * 2):
@@ -160,9 +176,9 @@ def _epsilon_greedy(
             else:
                 parent = frontier[rng.integers(len(frontier))].point
                 candidates.append(explorer.space.mutate(parent, rng))
-        stall = stall + 1 if not explorer.run_batch(
-            candidates, limit=explorer.batch_size
-        ) else 0
+        if not explorer.run_batch(candidates, limit=explorer.batch_size):
+            if not explorer.top_up():
+                break
 
 
 def _evolutionary(
@@ -175,8 +191,7 @@ def _evolutionary(
     """(mu + lambda)-style loop: frontier parents, crossover + mutation."""
     seed_count = min(population, max(4, explorer.remaining // 4))
     explorer.run_batch(explorer.random_batch(rng, seed_count), limit=seed_count)
-    stall = 0
-    while not explorer.exhausted and stall < 8:
+    while not explorer.exhausted:
         frontier = explorer.frontier()
         if not frontier:
             break
@@ -188,9 +203,9 @@ def _evolutionary(
             if rng.random() < mutation_rate:
                 child = explorer.space.mutate(child, rng)
             offspring.append(child)
-        stall = stall + 1 if not explorer.run_batch(
-            offspring, limit=explorer.batch_size
-        ) else 0
+        if not explorer.run_batch(offspring, limit=explorer.batch_size):
+            if not explorer.top_up():
+                break
 
 
 STRATEGIES = {

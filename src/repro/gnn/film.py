@@ -6,12 +6,15 @@ node: ``gamma, beta = g_r(x_target)`` and the message becomes
 present so isolated nodes still update.
 
 Both per-relation weight stacks (message transform and FiLM generator)
-are :class:`~repro.nn.RelationLinear` modules. The fused path computes
-per-edge message values (gathered at ``src``) and per-edge FiLM
-parameters (gathered at ``dst``) with the batched relation kernels,
-modulates edge-wise, multiplies by the ``1/c_{v,r}`` column and lands
-everything with ONE ``scatter_sum`` — the per-relation
-``scatter_mean`` loop is kept behind ``use_fused_relations(False)``.
+are :class:`~repro.nn.RelationLinear` modules. The modulation is not
+linear in the source rows, so the fused path keeps per-edge message
+values (gathered at ``src``, transformed by relation). The generator
+depends only on the edge's (relation, dst) key, so it runs once per key
+on the rows ``x[keys.dst]`` of the fusion's key table and is expanded to
+the edges by ``keys.inverse``. The modulated messages are multiplied by
+the ``1/c_{v,r}`` column and land with ONE weighted scatter — the
+per-relation ``scatter_mean`` loop is kept behind
+``use_fused_relations(False)``.
 """
 
 from __future__ import annotations
@@ -60,8 +63,12 @@ class FiLMLayer(Module):
         if fused_relations_enabled():
             fusion = ctx.relation_fusion(self.num_relations)
             if fusion.num_edges:
-                value = self.message_linear.edge_messages(x, fusion, endpoint="src")
-                film = self.film_generator.edge_messages(x, fusion, endpoint="dst")
+                value = self.message_linear.edge_messages(x, fusion)
+                keys = fusion.keys
+                film_keys = self.film_generator.transform_keys(
+                    gather_rows(x, keys.dst, plan=fusion.plan("key_dst")), fusion
+                )
+                film = gather_rows(film_keys, keys.inverse, plan=fusion.plan("inverse"))
                 modulated = self._modulate(film, value)
                 out = out + fusion.weighted_scatter(modulated)
             return out

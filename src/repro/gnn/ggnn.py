@@ -5,10 +5,13 @@ gated recurrent unit, so ``in_dim`` must equal ``out_dim`` (the network
 builder guarantees this after the input encoder).
 
 Message weights live in one stacked :class:`~repro.nn.RelationLinear`.
-Because the aggregated message is a plain sum over relations, the fused
-path computes every relation's edge messages in one batched kernel and
-lands them with ONE ``scatter_sum`` over the whole partitioned edge
-array — no per-relation loop, no R-term tensor addition chain.
+The aggregated message ``sum_r sum_{u in N_r(v)} W_r h_u`` is linear, so
+the fused path aggregates first and transforms second on the key table
+of a :class:`~repro.gnn.message_passing.RelationFusion`: ``aggregate``
+sums the source rows of each unique (relation, dst) key, then one GEMM
+per relation transforms those key rows and, in the same kernel, sums
+them onto their nodes — no per-relation loop, no per-edge message
+array.
 """
 
 from __future__ import annotations
@@ -47,12 +50,9 @@ class GGNNLayer(Module):
         fusion = ctx.relation_fusion(self.num_relations)
         if not fusion.num_edges:
             return None
-        if fusion.prefer_block(len(x)):
-            messages = self.message_linear.edge_messages(x, fusion, path="block")
-            return scatter_sum(
-                messages, None, ctx.num_nodes, plan=fusion.plan("dst")
-            )
-        return fusion.collect(self.message_linear(x))
+        return self.message_linear.transform_keys(
+            fusion.aggregate(x), fusion, land=True
+        )
 
     def _aggregate_loop(self, x: Tensor, ctx: GraphContext) -> Tensor | None:
         message: Tensor | None = None

@@ -34,6 +34,7 @@ kernel downstream trusts them (``validate=False`` / ``validated=True``).
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from repro.tensor import (
     plans_enabled,
     scatter_sum,
 )
+from repro.tensor.profiling import profiled
 from repro.utils.cache import LRUCache
 
 #: Bounds on the per-context plan/operator caches. A context serves a
@@ -336,31 +338,55 @@ class GraphContext:
         )
 
 
+class RelationKeys(NamedTuple):
+    """Unique (relation, dst) keys of a :class:`RelationFusion`.
+
+    Key rows follow the partition's (relation, dst) order, so relation
+    ``r`` owns the contiguous key rows ``[starts[r], ends[r])``.
+    """
+
+    #: ``[E]`` key row of each partitioned edge (non-decreasing).
+    inverse: np.ndarray
+    #: ``[U]`` destination node of each key.
+    dst: np.ndarray
+    #: ``[R_active]`` first / one-past-last key row of each relation.
+    starts: np.ndarray
+    ends: np.ndarray
+    #: ``[U]`` edges per key — the ``c_{v,r}`` of RGCN's mean.
+    counts: np.ndarray
+
+
 class RelationFusion:
-    """One flat view of the relation partition for fused relation kernels.
+    """The relation partition as one flat edge array plus its key table.
 
-    Where the per-relation loop hands layers R separate (src, dst, plan)
-    triples, this hands them ONE relation-partitioned edge array: the
-    context's lexsorted-by-(relation, dst) edges restricted to the
-    relations the layer covers, with run bounds ``[starts[r], ends[r])``
-    per relation. On top of it live, all built lazily and cached:
+    The context's edges, lexsorted by (relation, dst) and restricted to
+    the relations the layer covers, with run bounds
+    ``[starts[r], ends[r])`` per relation. RGCN and GGNN messages are
+    linear in the source rows, so they *aggregate first and transform
+    second*: ``sum_r (A_r x) W_r`` instead of ``sum_e x[src_e] W_{r_e}``.
+    Two kernels per layer:
 
-    - ``plan(endpoint)`` — scatter plans over the full partitioned src /
-      dst vectors (one scatter for ALL relations instead of R);
-    - ``flat_index``/``flat_plan`` — gather indices into the
-      ``[R * N, D]`` flattening of a stacked all-relations transform;
-    - ``norm_for(dtype)`` — the per-edge ``1 / c_{v, r}`` column that
-      turns the single fused ``scatter_sum`` into the per-relation
-      ``scatter_mean`` RGCN and FiLM are defined with;
-    - ``collect``/``weighted_scatter`` — fused SpMM operators built by
-      the active scatter backend (the relational analogue of the GCN
-      ``Â`` matmul), fusing gather + normalise + scatter into one sparse
-      matvec per direction: ``collect`` maps a stacked ``[R, N, O]``
-      transform straight to ``[N, O]`` aggregated messages,
-      ``weighted_scatter`` lands per-edge messages with their
-      ``1/c_{v,r}`` weights applied. Both fall back to the plan-threaded
-      gather/mul/scatter composition when the backend has no fused
-      operator or under ``use_plans(False)``.
+    1. :meth:`aggregate` — ``[N, D] -> [U, D]``, one row per unique
+       (relation, dst) key of :attr:`keys`: the sum (GGNN) or the
+       ``1/c_{v,r}``-weighted mean (RGCN) of the key's source rows. One
+       sparse operator of the active scatter backend; the plan-threaded
+       gather + scatter over ``keys.inverse`` when the backend has none
+       or under ``use_plans(False)``.
+    2. :func:`~repro.tensor.relation_segment_matmul` — one GEMM per
+       relation over its contiguous key rows, then, inside the same
+       kernel, a segment sum of the key rows onto ``keys.dst``
+       (``[U, D] -> [N, O]``, the ``"key_dst"`` plan).
+
+    ``U <= E`` and ``U <= R * N`` always hold, so step 2 transforms no
+    more rows than a per-edge or an all-nodes transform would. The key
+    table also serves target-conditioned terms (FiLM's generator runs on
+    the ``U`` rows ``x[keys.dst]`` and expands by ``keys.inverse``).
+
+    Per-edge terms that do not aggregate linearly keep their own
+    helpers: ``norm_for(dtype)`` (the per-edge ``1/c_{v,r}`` column) and
+    :meth:`weighted_scatter` (lands per-edge messages with that weight
+    as one sparse operator). Plans and operators are built lazily and
+    cached per backend name.
     """
 
     def __init__(self, ctx: GraphContext, num_relations: int):
@@ -380,15 +406,9 @@ class RelationFusion:
         # the context caches (backends x endpoints x dtypes is small, but
         # streaming sessions must not leak even across odd mixes).
         self._plans = LRUCache(RELATION_PLAN_CACHE_SIZE)
-        self._flat = LRUCache(RELATION_PLAN_CACHE_SIZE)
         self._norms = LRUCache(GCN_OPERATOR_CACHE_SIZE)
-        self._collect_ops = LRUCache(RELATION_PLAN_CACHE_SIZE)
+        self._aggregate_ops = LRUCache(RELATION_PLAN_CACHE_SIZE)
         self._edge_ops = LRUCache(GCN_OPERATOR_CACHE_SIZE)
-
-    def prefer_block(self, num_nodes: int) -> bool:
-        """Whether the gather-by-relation block kernel transforms fewer
-        rows than a stacked all-nodes transform."""
-        return self.num_edges < self.num_relations * num_nodes
 
     def index(self, endpoint: str) -> np.ndarray:
         """Partitioned node ids of edge ``endpoint`` (``"src"``/``"dst"``)."""
@@ -398,15 +418,29 @@ class RelationFusion:
             return self.dst
         raise ValueError(f"endpoint must be 'src' or 'dst', got '{endpoint}'")
 
-    def plan(self, endpoint: str) -> SegmentPlan:
-        """Scatter plan of ``index(endpoint)`` into the node table."""
+    def plan(self, name: str) -> SegmentPlan:
+        """Cached scatter plan of one of the fusion's index vectors.
+
+        ``"src"``/``"dst"`` segment the partitioned edge endpoints into
+        the node table; ``"key_dst"`` segments ``keys.dst`` into the node
+        table and ``"inverse"`` segments ``keys.inverse`` into the key
+        rows (already sorted, so its plan skips the argsort).
+        """
         backend = active_backend()
-        plan = self._plans.get((backend.name, endpoint))
+        plan = self._plans.get((backend.name, name))
         if plan is None:
+            if name == "key_dst":
+                index, dim_size, assume_sorted = self.keys.dst, self.num_nodes, False
+            elif name == "inverse":
+                index, dim_size, assume_sorted = (
+                    self.keys.inverse, len(self.keys.dst), True
+                )
+            else:
+                index, dim_size, assume_sorted = self.index(name), self.num_nodes, False
             plan = backend.build_plan(
-                self.index(endpoint), self.num_nodes, validate=False
+                index, dim_size, validate=False, assume_sorted=assume_sorted
             )
-            self._plans.put((backend.name, endpoint), plan)
+            self._plans.put((backend.name, name), plan)
         return plan
 
     @cached_property
@@ -416,25 +450,29 @@ class RelationFusion:
             np.arange(len(self.starts), dtype=np.int64), self.ends - self.starts
         )
 
-    def flat_index(self, endpoint: str) -> np.ndarray:
-        """Row ids into the ``[num_relations * N, D]`` stacked transform."""
-        return self._flat_entry(endpoint)[0]
+    @cached_property
+    def keys(self) -> RelationKeys:
+        """The unique (relation, dst) keys, found without a sort.
 
-    def flat_plan(self, endpoint: str) -> SegmentPlan:
-        """Backward plan of gathering ``flat_index`` from the stacked rows."""
-        return self._flat_entry(endpoint)[1]
-
-    def _flat_entry(self, endpoint: str) -> tuple[np.ndarray, SegmentPlan]:
-        backend = active_backend()
-        entry = self._flat.get((backend.name, endpoint))
-        if entry is None:
-            index = self._relation_ids * self.num_nodes + self.index(endpoint)
-            plan = backend.build_plan(
-                index, self.num_relations * self.num_nodes, validate=False
-            )
-            entry = (index, plan)
-            self._flat.put((backend.name, endpoint), entry)
-        return entry
+        The partition is lexsorted by (relation, dst), so equal keys are
+        contiguous runs and one ``!=`` over consecutive keys marks where
+        each run starts.
+        """
+        key = self._relation_ids * self.num_nodes + self.dst
+        first = np.ones(self.num_edges, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        rows = np.flatnonzero(first)
+        per_relation = np.bincount(
+            self._relation_ids[rows], minlength=len(self.starts)
+        )
+        ends = np.cumsum(per_relation)
+        return RelationKeys(
+            inverse=np.cumsum(first) - 1,
+            dst=self.dst[rows],
+            starts=ends - per_relation,
+            ends=ends,
+            counts=np.diff(np.append(rows, self.num_edges)),
+        )
 
     def norm_for(self, dtype) -> np.ndarray:
         """``[E, 1]`` column of ``1 / c_{v, r}`` (dst in-count per relation).
@@ -447,21 +485,16 @@ class RelationFusion:
         dtype = np.dtype(dtype)
         norm = self._norms.get(dtype)
         if norm is None:
-            # One flat bincount over the (relation, dst) key — no
-            # per-relation loop.
-            key = self._relation_ids * self.num_nodes + self.dst
-            counts = np.bincount(key)
-            inv = 1.0 / counts[key] if self.num_edges else np.empty(0)
-            norm = inv.astype(dtype).reshape(-1, 1)
+            keys = self.keys
+            norm = (1.0 / keys.counts).astype(dtype)[keys.inverse].reshape(-1, 1)
             self._norms.put(dtype, norm)
         return norm
 
-    # -- fused SpMM operators (gather + normalise + scatter in one matvec) --
-    def _collect_operator(self, dtype, weighted: bool):
-        """``[N, R * N]`` SpMM operator summing a flattened stacked
-        transform into per-node messages (optionally
-        ``1/c_{v,r}``-weighted); the adjoint serves the backward.
-        ``None`` when the active backend has no fused operator."""
+    # -- aggregate-then-transform (RGCN, GGNN) ----------------------------
+    def _aggregate_operator(self, dtype, weighted: bool):
+        """``[U, N]`` SpMM operator summing source rows per key
+        (``1/c_{v,r}``-weighted when ``weighted``); the adjoint serves the
+        backward. ``None`` when the active backend has no fused operator."""
         backend = active_backend()
         key = (backend.name, np.dtype(dtype), weighted)
 
@@ -472,14 +505,41 @@ class RelationFusion:
                 else np.ones(self.num_edges, dtype=dtype)
             )
             return backend.sparse_operator(
-                self.dst,
-                self.flat_index("src"),
+                self.keys.inverse,
+                self.src,
                 data,
-                (self.num_nodes, self.num_relations * self.num_nodes),
+                (len(self.keys.dst), self.num_nodes),
             )
 
-        return self._collect_ops.get_or_create(key, build)
+        return self._aggregate_ops.get_or_create(key, build)
 
+    @profiled("relation_aggregate")
+    def aggregate(self, x: Tensor, weighted: bool = False) -> Tensor:
+        """``[N, D] -> [U, D]``: per-key sum of the source rows.
+
+        Row ``u`` is ``sum_e w_e * x[src_e]`` over the edges of key ``u``
+        (``w_e = 1/c_{v,r}`` when ``weighted`` — RGCN's per-relation mean
+        — else 1). With a sparse operator this is ONE sparse matvec per
+        direction; otherwise it decomposes into the plan-threaded gather
+        (+ weight multiply) + scatter over ``keys.inverse``.
+        """
+        operator = self._aggregate_operator(x.dtype, weighted) if plans_enabled() else None
+        if operator is not None:
+            data = np.asarray(operator.apply(x.data))
+
+            def backward(grad: np.ndarray) -> None:
+                if x.requires_grad:
+                    x._accumulate(np.asarray(operator.apply_t(grad)))
+
+            return Tensor._make(data, (x,), backward)
+        messages = gather_rows(x, self.src, plan=self.plan("src"))
+        if weighted:
+            messages = messages * Tensor(self.norm_for(messages.dtype))
+        return scatter_sum(
+            messages, None, len(self.keys.dst), plan=self.plan("inverse")
+        )
+
+    # -- per-edge messages (FiLM) ------------------------------------------
     def _edge_operator(self, dtype):
         """``[N, E]`` SpMM operator landing per-edge messages on their dst
         rows with the ``1/c_{v,r}`` weight applied. ``None`` when the
@@ -495,34 +555,6 @@ class RelationFusion:
                 (self.num_nodes, self.num_edges),
             ),
         )
-
-    def collect(self, stacked: Tensor, weighted: bool = False) -> Tensor:
-        """Aggregate a stacked ``[R, N, O]`` transform into ``[N, O]``.
-
-        Row ``v`` of the result is ``sum_e w_e * stacked[r_e, src_e]``
-        over edges into ``v`` (``w_e = 1/c_{v,r}`` when ``weighted`` —
-        the per-relation mean — else 1). With scipy this is ONE sparse
-        matvec per direction; otherwise it decomposes into the
-        plan-threaded gather (+ norm multiply) + scatter.
-        """
-        rows = self.num_relations * self.num_nodes
-        operator = self._collect_operator(stacked.dtype, weighted) if plans_enabled() else None
-        if operator is not None:
-            flat = stacked.data.reshape(rows, -1)
-            data = np.asarray(operator.apply(flat))
-
-            def backward(grad: np.ndarray) -> None:
-                if stacked.requires_grad:
-                    stacked._accumulate(
-                        np.asarray(operator.apply_t(grad)).reshape(stacked.shape)
-                    )
-
-            return Tensor._make(data, (stacked,), backward)
-        flat = stacked.reshape(rows, stacked.shape[-1])
-        messages = gather_rows(flat, self.flat_index("src"), plan=self.flat_plan("src"))
-        if weighted:
-            messages = messages * Tensor(self.norm_for(messages.dtype))
-        return scatter_sum(messages, None, self.num_nodes, plan=self.plan("dst"))
 
     def weighted_scatter(self, messages: Tensor) -> Tensor:
         """Land per-edge ``messages`` on dst rows, ``1/c_{v,r}``-weighted.

@@ -1,16 +1,19 @@
 """Relational GCN layer (Schlichtkrull et al., 2018).
 
 One weight matrix per direction-aware relation; per-relation mean
-normalisation (``1/c_{v,r}``) as in the original paper.
+normalisation (``1/c_{v,r}``) as in the original paper:
 
-The relation transforms run through one :class:`~repro.nn.RelationLinear`
-(stacked ``[R, D, D]`` weight). On the fused path the per-relation
-gather → transform → ``scatter_mean`` loop collapses into: one batched
-relation transform producing every edge message (block or stacked
-kernel, whichever transforms fewer rows), one multiply by the
-precomputed ``1/c_{v,r}`` column, and ONE ``scatter_sum`` over all
-relations' edges. ``use_fused_relations(False)`` restores the
-per-relation loop — the differential baseline.
+    h_v' = W_0 h_v + sum_r (1/c_{v,r}) sum_{u in N_r(v)} W_r h_u
+
+The relation sum is linear, so the layer aggregates first and
+transforms second, ``sum_r (A_r x) W_r``, on the key table of a
+:class:`~repro.gnn.message_passing.RelationFusion`: ``aggregate`` takes
+the per-relation mean of the source rows for each unique (relation,
+dst) key, then one :class:`~repro.nn.RelationLinear` GEMM per relation
+transforms those ``U <= min(E, R * N)`` rows and, in the same kernel,
+sums them onto their nodes. ``use_fused_relations(False)`` restores the
+per-relation gather → transform → ``scatter_mean`` loop — the
+differential baseline.
 """
 
 from __future__ import annotations
@@ -54,15 +57,10 @@ class RGCNLayer(Module):
         if fused_relations_enabled():
             fusion = ctx.relation_fusion(self.num_relations)
             if fusion.num_edges:
-                if fusion.prefer_block(len(x)):
-                    messages = self.relation_linear.edge_messages(
-                        x, fusion, path="block"
-                    )
-                    out = out + fusion.weighted_scatter(messages)
-                else:
-                    out = out + fusion.collect(
-                        self.relation_linear(x), weighted=True
-                    )
+                aggregated = fusion.aggregate(x, weighted=True)
+                out = out + self.relation_linear.transform_keys(
+                    aggregated, fusion, land=True
+                )
             return out
         for relation in range(self.num_relations):
             src, dst = ctx.relation_edges(relation)

@@ -1,22 +1,24 @@
 """Batched per-relation affine transform — R ``Linear`` layers in one.
 
-The relational GNN layers (RGCN, GGNN, FiLM) used to hold a
-``ModuleList`` of per-relation ``Linear`` modules and pay one dense call
-per relation per layer per step. :class:`RelationLinear` stacks the
-weights into a single ``[R, D_in, D_out]`` parameter and offers three
-execution paths:
+The relational GNN layers (RGCN, GGNN, FiLM) hold one stacked
+``[R, D_in, D_out]`` weight instead of a ``ModuleList`` of per-relation
+``Linear`` modules. :class:`RelationLinear` applies it four ways:
 
+- :meth:`transform_keys` — the relational hot path: transform the
+  ``[U, D_in]`` per-key rows of a
+  :class:`~repro.gnn.message_passing.RelationFusion` (one row per unique
+  (relation, dst) key, contiguous per relation) with one GEMM per
+  relation, and with ``land=True`` sum them onto their nodes in the
+  same kernel. RGCN and GGNN aggregate their source rows onto the keys
+  first, so this is the only dense transform their messages pay;
+- :meth:`edge_messages` — per-edge transformed source rows in the
+  fusion's partitioned edge order (cost ``E * D * O``), for terms that
+  do not aggregate linearly (FiLM's modulated messages);
 - :meth:`forward` — transform *all* nodes for *all* relations in one
   batched matmul (``[R, N, D_out]`` out);
-- :meth:`edge_messages` — produce exactly the per-edge messages a
-  relational layer needs, in the relation-partitioned edge order of a
-  :class:`~repro.gnn.message_passing.RelationFusion`, choosing between
-  the gather-by-relation *block* kernel (cost ``E * D * O``) and the
-  stacked *all-nodes* kernel (cost ``R * N * D * O``) — whichever
-  transforms fewer rows;
-- :meth:`single` — the legacy per-relation path (slice one weight,
-  transform every node), kept as the differential-testing baseline
-  behind ``use_fused_relations(False)``.
+- :meth:`single` — the per-relation path (slice one weight, transform
+  every node), kept as the differential-testing baseline behind
+  ``use_fused_relations(False)``.
 
 Weight initialisation draws R Glorot matrices from the rng in relation
 order — the exact stream the old per-relation ``ModuleList`` consumed,
@@ -29,7 +31,12 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.tensor import Tensor, gather_rows, relation_gather_matmul, relation_matmul
+from repro.tensor import (
+    Tensor,
+    relation_gather_matmul,
+    relation_matmul,
+    relation_segment_matmul,
+)
 
 
 class RelationLinear(Module):
@@ -72,41 +79,50 @@ class RelationLinear(Module):
             out = out + self.bias[relation]
         return out
 
-    def edge_messages(self, x: Tensor, fusion, endpoint: str = "src", path: str | None = None) -> Tensor:
-        """Per-edge transformed rows in ``fusion``'s partitioned edge order.
-
-        Row ``e`` of the result is ``x[idx_e] @ W_{r_e}`` where ``idx_e``
-        is edge ``e``'s ``endpoint`` node (``"src"`` for messages,
-        ``"dst"`` for target-conditioned terms like FiLM modulators) and
-        ``r_e`` its relation. ``path`` pins the kernel (``"block"`` /
-        ``"stacked"``) — by default the cheaper one is chosen by
-        comparing rows transformed: ``E`` for the block path versus
-        ``R * N`` for the stacked one.
-        """
+    def _check_fusion(self, fusion) -> None:
         if fusion.num_relations != self.num_relations:
             raise ValueError(
                 f"layer built for {self.num_relations} relations, "
                 f"fusion partition covers {fusion.num_relations}"
             )
-        index = fusion.index(endpoint)
-        if path is None:
-            path = "block" if len(index) < self.num_relations * len(x) else "stacked"
-        if path == "block":
-            return relation_gather_matmul(
-                x,
-                self.weight,
-                index,
-                fusion.starts,
-                fusion.ends,
-                plan=fusion.plan(endpoint),
-                bias=self.bias,
-            )
-        if path != "stacked":
-            raise ValueError(f"unknown edge_messages path '{path}'")
-        stacked = self.forward(x)
-        flat = stacked.reshape(self.num_relations * len(x), self.out_features)
-        return gather_rows(
-            flat, fusion.flat_index(endpoint), plan=fusion.flat_plan(endpoint)
+
+    def transform_keys(self, h: Tensor, fusion, land: bool = False) -> Tensor:
+        """``h[u] @ W_{r_u} (+ b_{r_u})`` for the key rows of ``fusion``.
+
+        ``h`` is ``[U, in_features]``, one row per unique (relation, dst)
+        key of ``fusion.keys`` (e.g. ``fusion.aggregate(x)``); relation
+        ``r``'s keys are the contiguous rows ``[starts[r], ends[r])``.
+        With ``land`` the transformed rows are summed onto their
+        destination nodes (``[N, out_features]`` out) inside the same
+        tape node, so the ``[U, out_features]`` rows are not kept.
+        """
+        self._check_fusion(fusion)
+        keys = fusion.keys
+        return relation_segment_matmul(
+            h,
+            self.weight,
+            keys.starts,
+            keys.ends,
+            bias=self.bias,
+            land=fusion.plan("key_dst") if land else None,
+        )
+
+    def edge_messages(self, x: Tensor, fusion) -> Tensor:
+        """Per-edge transformed source rows in ``fusion``'s edge order.
+
+        Row ``e`` of the result is ``x[src_e] @ W_{r_e}`` where ``r_e`` is
+        edge ``e``'s relation: one GEMM per relation on its gathered
+        source rows.
+        """
+        self._check_fusion(fusion)
+        return relation_gather_matmul(
+            x,
+            self.weight,
+            fusion.src,
+            fusion.starts,
+            fusion.ends,
+            plan=fusion.plan("src"),
+            bias=self.bias,
         )
 
     def __repr__(self) -> str:

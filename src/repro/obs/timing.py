@@ -31,18 +31,25 @@ def rate(count: int, seconds: float) -> float:
     return round(count / seconds, 1) if seconds > 0 else float("inf")
 
 
-def best_of(fn, repeats: int = 3) -> float:
-    """Minimum wall time of ``fn()`` over ``repeats`` runs.
+def best_of(fn, repeats: int = 3, *, warmup: int = 0, inner: int = 1) -> float:
+    """Minimum wall time of one ``fn()`` call over ``repeats`` timings.
 
     The standard noise-robust micro-timing estimator: the minimum is the
     run least disturbed by the machine, which is what regression gates
-    should compare.
+    should compare. ``warmup`` untimed calls run first (plans, caches,
+    allocator pools); each timing covers ``inner`` back-to-back calls
+    and is divided by ``inner``, so calls far shorter than the timer's
+    jitter still resolve.
     """
+    for _ in range(warmup):
+        fn()
+    inner = max(1, inner)
     best = float("inf")
     for _ in range(max(1, repeats)):
         start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
+        for _ in range(inner):
+            fn()
+        best = min(best, (time.perf_counter() - start) / inner)
     return best
 
 

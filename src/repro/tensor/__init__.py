@@ -85,6 +85,7 @@ from repro.tensor.fused import (
     linear_act,
     relation_gather_matmul,
     relation_matmul,
+    relation_segment_matmul,
     use_fused_relations,
 )
 from repro.tensor.profiling import (
@@ -105,6 +106,7 @@ __all__ = [
     "linear_act",
     "relation_matmul",
     "relation_gather_matmul",
+    "relation_segment_matmul",
     "fused_relations_enabled",
     "use_fused_relations",
     "abs_",

@@ -1,10 +1,8 @@
 """Fused dense kernels for the matmul-bound hot path.
 
-PR 2 made message passing scatter-lean; what remains on the relational
-stack is dense-transform cost: every relation, every layer, every step
-used to pay a separate ``Linear`` call (and a separate autograd node for
-the matmul, the bias add and the activation). The kernels here collapse
-those chains:
+Every relation, every layer, every step used to pay a separate
+``Linear`` call (and separate autograd nodes for the matmul, the bias
+add and the activation). The kernels here collapse those chains:
 
 - :func:`addmm` — ``x @ W + b`` as ONE tape node with one backward
   closure (adopted by :class:`repro.nn.Linear`);
@@ -13,14 +11,23 @@ those chains:
 - :func:`relation_matmul` — a stacked ``[R, D_in, D_out]`` relation
   weight applied to all nodes in one batched matmul, ``[R, N, D_out]``
   out, single-einsum forward/backward;
-- :func:`relation_gather_matmul` — the gather-by-relation "block" path:
-  each relation transforms only its gathered edge rows, so the cost
-  scales with the edge count instead of ``R * N``.
+- :func:`relation_segment_matmul` — the relational transform: rows are
+  partitioned into one *contiguous* run per relation and run ``r`` is
+  multiplied by ``W_r``. No gather: forward, ``dW`` and ``dh`` are one
+  :data:`_block_gemm` per non-empty relation on slices (views) of the
+  row array. RGCN and GGNN feed it the ``[U, D]`` aggregated rows of a
+  :class:`~repro.gnn.message_passing.RelationFusion` (one row per
+  unique (relation, dst) key), so the dense cost is ``U * D * O`` with
+  ``U <= min(E, R * N)``, and have it segment-sum the transformed rows
+  onto the key destinations in the same tape node (the ``[U, O]`` rows
+  are never kept for the backward);
+- :func:`relation_gather_matmul` — the same per-relation GEMMs on
+  gathered rows ``x[index]``, for per-edge terms that do not aggregate
+  linearly (FiLM's messages); the gather is recomputed in the backward.
 
-:class:`repro.nn.relation_linear.RelationLinear` picks between the two
-relation kernels from ``(R, E, N)``; ``use_fused_relations(False)``
-forces the relational GNN layers back onto the per-relation loop — the
-differential-testing and benchmarking baseline.
+``use_fused_relations(False)`` forces the relational GNN layers back
+onto the per-relation loop — the differential-testing and benchmarking
+baseline.
 """
 
 from __future__ import annotations
@@ -35,8 +42,9 @@ from repro.tensor.tensor import Tensor, stable_sigmoid
 
 _FUSED_RELATIONS_ENABLED = True
 
-#: The per-relation GEMM of the block path, kept as a module attribute so
-#: regression tests can spy on exactly which row blocks get transformed.
+#: The per-relation GEMM of :func:`relation_segment_matmul` and
+#: :func:`relation_gather_matmul` (forward, ``dW`` and ``dh``), kept as a module attribute so regression tests can
+#: spy on exactly which row blocks get transformed.
 _block_gemm = np.matmul
 
 
@@ -165,6 +173,74 @@ def relation_matmul(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Te
     return Tensor._make(data, parents, backward)
 
 
+@profiled("relation_segment_matmul")
+def relation_segment_matmul(
+    h: Tensor,
+    weight: Tensor,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    bias: Tensor | None = None,
+    land: SegmentPlan | None = None,
+) -> Tensor:
+    """Per-relation transform of contiguous row runs, optionally landed.
+
+    Rows ``[starts[r], ends[r])`` of ``h`` belong to relation ``r`` and
+    the runs partition the rows; row ``u`` is transformed to
+    ``h[u] @ weight[r_u] (+ bias[r_u])``. Each non-empty relation costs
+    one ``[rows_r, D] @ [D, O]`` GEMM forward and two backward (``dW``
+    and ``dh``), all on slices of ``h``. ``weight`` may stack more
+    relations than ``starts`` covers; the extra ones get a zero gradient.
+
+    Without ``land`` the result is the ``[U, O]`` transformed rows. With
+    ``land`` (a :class:`SegmentPlan` over ``[U]`` row ids, e.g. a
+    fusion's ``keys.dst``) the transformed rows are segment-summed into
+    ``land.dim_size`` result rows inside the kernel, so they are freed
+    after the forward instead of being kept on the tape; the backward
+    gathers ``grad[land.index]`` once and slices it per run.
+    """
+    hd, wd = h.data, weight.data
+    rows = np.empty((len(hd), wd.shape[2]), dtype=np.result_type(hd.dtype, wd.dtype))
+    runs = [
+        (r, slice(int(s), int(e)))
+        for r, (s, e) in enumerate(zip(starts, ends))
+        if e > s
+    ]
+    for r, run in runs:
+        rows[run] = _block_gemm(hd[run], wd[r])
+        if bias is not None:
+            rows[run] += bias.data[r]
+    if land is None:
+        out = rows
+    elif plans_enabled():
+        out = land.segment_sum(rows)
+    else:
+        out = np.zeros((land.dim_size, rows.shape[1]), dtype=rows.dtype)
+        np.add.at(out, land.index, rows)
+    del rows
+    parents = (h, weight) if bias is None else (h, weight, bias)
+
+    def backward(grad: np.ndarray) -> None:
+        if land is not None:
+            grad = grad[land.index]
+        if weight.requires_grad:
+            gw = np.zeros_like(wd)
+            for r, run in runs:
+                gw[r] = _block_gemm(hd[run].T, grad[run])
+            weight._accumulate(gw)
+        if bias is not None and bias.requires_grad:
+            gb = np.zeros_like(bias.data)
+            for r, run in runs:
+                gb[r] = grad[run].sum(axis=0)
+            bias._accumulate(gb)
+        if h.requires_grad:
+            gh = np.empty(hd.shape, dtype=grad.dtype)
+            for r, run in runs:
+                gh[run] = _block_gemm(grad[run], wd[r].T)
+            h._accumulate(gh)
+
+    return Tensor._make(out, parents, backward)
+
+
 @profiled("relation_gather_matmul")
 def relation_gather_matmul(
     x: Tensor,
@@ -175,15 +251,13 @@ def relation_gather_matmul(
     plan: SegmentPlan | None = None,
     bias: Tensor | None = None,
 ) -> Tensor:
-    """Per-relation transform of *gathered* rows only (the block path).
+    """Per-relation transform of *gathered* rows: ``x[index]`` by runs.
 
     ``index`` is a relation-partitioned row-id vector (relation ``r``
     occupies ``index[starts[r]:ends[r]]``); the output row ``e`` is
-    ``x[index[e]] @ weight[r_e] (+ bias[r_e])``. Only gathered source
-    rows are transformed — a relation touching 10 edges costs a
-    ``[10, D] @ [D, O]`` GEMM, never ``[N, D] @ [D, O]`` — so the total
-    dense cost is ``E * D * O`` instead of ``R * N * D * O``.
-
+    ``x[index[e]] @ weight[r_e] (+ bias[r_e])``, so the dense cost is
+    ``len(index) * D * O`` instead of ``R * N * D * O``. Each run's
+    gather is recomputed in the backward rather than kept on the tape.
     ``plan`` (a :class:`SegmentPlan` over ``index``) accelerates the
     scatter-add of the input gradient, exactly like ``gather_rows``.
     """
@@ -191,12 +265,12 @@ def relation_gather_matmul(
     num_rows = len(index)
     dtype = np.result_type(xd.dtype, wd.dtype)
     out = np.empty((num_rows, wd.shape[2]), dtype=dtype)
-    blocks = [
+    runs = [
         (r, slice(int(s), int(e)))
         for r, (s, e) in enumerate(zip(starts, ends))
         if e > s
     ]
-    for r, run in blocks:
+    for r, run in runs:
         out[run] = _block_gemm(xd[index[run]], wd[r])
         if bias is not None:
             out[run] += bias.data[r]
@@ -206,18 +280,18 @@ def relation_gather_matmul(
     def backward(grad: np.ndarray) -> None:
         if weight.requires_grad:
             gw = np.zeros_like(wd)
-            for r, run in blocks:
-                gw[r] = xd[index[run]].T @ grad[run]
+            for r, run in runs:
+                gw[r] = _block_gemm(xd[index[run]].T, grad[run])
             weight._accumulate(gw)
         if bias is not None and bias.requires_grad:
             gb = np.zeros_like(bias.data)
-            for r, run in blocks:
+            for r, run in runs:
                 gb[r] = grad[run].sum(axis=0)
             bias._accumulate(gb)
         if x.requires_grad:
             gathered = np.empty((num_rows, xd.shape[1]), dtype=grad.dtype)
-            for r, run in blocks:
-                gathered[run] = grad[run] @ wd[r].T
+            for r, run in runs:
+                gathered[run] = _block_gemm(grad[run], wd[r].T)
             if planned:
                 x._accumulate(plan.segment_sum(gathered))
             else:

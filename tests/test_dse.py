@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 
 from repro.dataset.features import DIRECTIVE_DIM, FeatureEncoder, directive_features
 from repro.dse import (
+    DesignEvaluation,
     DesignPoint,
     DesignSpace,
     GroundTruthEvaluator,
+    LoopKnob,
     PredictorEvaluator,
     adrs,
     dominates,
@@ -28,6 +30,7 @@ from repro.dse import (
     iter_loops,
     pareto_front,
 )
+from repro.dse.strategies import _Explorer
 from repro.frontend.ast_ import (
     ArrayRef,
     Assign,
@@ -47,6 +50,7 @@ from repro.hls.loops import unroll_factors
 from repro.hls.scheduling import schedule_function
 from repro.models import OffTheShelfPredictor, PredictorConfig
 from repro.serve import PredictionService, ServiceConfig
+from repro.suites.registry import suite_programs
 from repro.training import TrainConfig
 from repro.typesys import CArray, CInt
 from tests.conftest import make_loop_program
@@ -489,6 +493,85 @@ class TestEvaluation:
         with pytest.raises(KeyError, match="unknown strategy"):
             explore(space, GroundTruthEvaluator(program, space),
                     strategy="simulated-annealing")
+
+
+class _FlatEvaluator:
+    """Scores every point the same: the frontier collapses to one point,
+    so mutation and crossover soon propose only visited points."""
+
+    name = "flat"
+
+    def evaluate_many(self, points):
+        return [
+            DesignEvaluation(point, 1.0, 1.0, 1.0, 5.0, 100.0, self.name)
+            for point in points
+        ]
+
+
+def _suite_kernel(suite: str, name: str):
+    return {program.name: program for program in suite_programs(suite)}[name]
+
+
+class TestTopUp:
+    """Greedy and evolutionary search reach ``min(budget, space size)``:
+    a generation with no novel point is topped up from unvisited points."""
+
+    @pytest.mark.parametrize("strategy", ["greedy", "evolutionary"])
+    @pytest.mark.parametrize(
+        "suite, kernel, budget",
+        [("chstone", "ch_aes", 512), ("polybench", "pb_ludcmp", 1024)],
+    )
+    def test_ground_truth_search_reaches_budget(self, suite, kernel, budget, strategy):
+        program = _suite_kernel(suite, kernel)
+        space = DesignSpace.from_program(program)
+        evaluator = GroundTruthEvaluator(program, space)
+        result = explore(space, evaluator, strategy=strategy, budget=budget, seed=1)
+        assert result.evaluated == min(budget, space.size)
+        assert len({e.point for e in result.evaluations}) == result.evaluated
+
+    @pytest.mark.parametrize("strategy", ["greedy", "evolutionary"])
+    @pytest.mark.parametrize(
+        "suite, kernel", [("chstone", "ch_aes"), ("polybench", "pb_ludcmp")]
+    )
+    def test_collapsed_frontier_reaches_budget(self, suite, kernel, strategy):
+        space = DesignSpace.from_program(_suite_kernel(suite, kernel))
+        result = explore(space, _FlatEvaluator(), strategy=strategy, budget=128, seed=0)
+        assert result.evaluated == 128
+
+    @pytest.mark.parametrize("strategy", ["greedy", "evolutionary"])
+    def test_repeated_clock_counts_once(self, strategy):
+        program = make_loop_program()
+        space = DesignSpace.from_program(
+            program, unroll_options=(1,), allow_pipeline=False, clock_options=(10, 10)
+        )
+        assert space.clock_options == (10.0,)
+        assert space.size == len(list(space.points())) == 1
+        result = explore(space, _FlatEvaluator(), strategy=strategy, seed=0)
+        assert result.evaluated == 1
+
+    @pytest.mark.parametrize("strategy", ["greedy", "evolutionary"])
+    def test_search_ends_when_no_unvisited_point_is_left(self, strategy):
+        """A space whose ``size`` overcounts its distinct points (here a
+        repeated unroll option) ends the search once the top-up finds
+        nothing, instead of spinning on an unreachable budget."""
+        knob = LoopKnob(
+            index=0, var="i", trip_count=8, unroll_options=(1, 1),
+            pipeline_options=(False,),
+        )
+        space = DesignSpace(make_loop_program(), (knob,), (10.0,))
+        assert space.size == 2
+        result = explore(space, _FlatEvaluator(), strategy=strategy, seed=0)
+        assert result.evaluated == 1
+
+    def test_top_up_takes_unvisited_points_in_enumeration_order(self):
+        space = DesignSpace.from_program(_suite_kernel("chstone", "ch_aes"))
+        explorer = _Explorer(space, _FlatEvaluator(), budget=40, batch_size=8)
+        points = list(space.points())
+        explorer.run_batch([points[1], points[3], points[20]])
+        topped = [e.point for e in explorer.top_up()]
+        assert topped == [points[i] for i in (0, 2, 4, 5, 6, 7, 8, 9)]
+        topped = [e.point for e in explorer.top_up()]
+        assert topped == [points[i] for i in (10, 11, 12, 13, 14, 15, 16, 17)]
 
 
 # ---------------------------------------------------------------------------

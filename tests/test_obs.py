@@ -194,6 +194,12 @@ class TestTiming:
         assert len(calls) == 3
         assert 0.0 <= seconds < 1.0
 
+    def test_best_of_warmup_and_inner_calls(self):
+        calls = []
+        seconds = best_of(lambda: calls.append(1), repeats=2, warmup=1, inner=3)
+        assert len(calls) == 1 + 2 * 3
+        assert 0.0 <= seconds < 1.0
+
     def test_stopwatch_segments(self):
         watch = Stopwatch()
         with watch("a"):

@@ -248,11 +248,17 @@ class TestRelationLinear:
         fusion = ctx.relation_fusion(RELATIONS)
         rel = RelationLinear(DIM, 4, RELATIONS, rng=np.random.default_rng(3))
         x = Tensor(rng.normal(size=(ctx.num_nodes, DIM)), requires_grad=True)
+        rel_ids = np.repeat(
+            np.arange(len(fusion.starts)), fusion.ends - fusion.starts
+        )
         results = {}
         for path in ("block", "stacked"):
             x.zero_grad()
             rel.weight.zero_grad()
-            out = rel.edge_messages(x, fusion, path=path)
+            if path == "block":
+                out = rel.edge_messages(x, fusion)
+            else:
+                out = rel(x)[rel_ids, fusion.src]
             out.backward(np.ones_like(out.data))
             results[path] = (out.data, x.grad.copy(), rel.weight.grad.copy())
         for a, b in zip(results["block"], results["stacked"]):
@@ -263,7 +269,10 @@ class TestRelationLinear:
         fusion = ctx.relation_fusion(RELATIONS)
         rel = RelationLinear(DIM, 4, RELATIONS, rng=np.random.default_rng(3))
         x = Tensor(rng.normal(size=(ctx.num_nodes, DIM)))
-        out = rel.edge_messages(x, fusion, endpoint="dst", path="block")
+        # Target-side terms run once per (relation, dst) key and expand
+        # to the edges by the key table's inverse index.
+        keys = fusion.keys
+        out = rel.transform_keys(x[keys.dst], fusion)[keys.inverse]
         stacked = rel(x).data
         rel_ids = np.repeat(
             np.arange(len(fusion.starts)), fusion.ends - fusion.starts
@@ -297,7 +306,7 @@ class TestBlockPathTransformsOnlyGatheredRows:
         monkeypatch.setattr(
             fused, "_block_gemm", lambda a, b: calls.append(a.shape) or real_gemm(a, b)
         )
-        out = rel.edge_messages(x, fusion, path="block")
+        out = rel.edge_messages(x, fusion)
         assert out.shape == (fusion.num_edges, DIM)
         edge_counts = [
             int(e - s) for s, e in zip(fusion.starts, fusion.ends) if e > s

@@ -291,14 +291,12 @@ class TestPerBackendCaches:
     def test_fusion_operators_keyed_by_backend(self, rng):
         ctx = _context(rng)
         fusion = ctx.relation_fusion(ctx.num_relations)
-        stacked = Tensor(
-            rng.normal(size=(fusion.num_relations, ctx.num_nodes, 4))
-        )
+        x = Tensor(rng.normal(size=(ctx.num_nodes, 4)))
         with use_backend("bucketed"):
-            bucketed_out = fusion.collect(stacked, weighted=True).data
+            bucketed_out = fusion.aggregate(x, weighted=True).data
         with use_backend("csr"):
-            csr_out = fusion.collect(stacked, weighted=True).data
-        keys = {key[0] for key in fusion._collect_ops}
+            csr_out = fusion.aggregate(x, weighted=True).data
+        keys = {key[0] for key in fusion._aggregate_ops}
         assert keys == {"bucketed", "csr"}
         np.testing.assert_allclose(bucketed_out, csr_out, atol=1e-10)
 
