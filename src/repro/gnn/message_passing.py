@@ -9,14 +9,11 @@ their reverses.
 
 :class:`GraphContext` precomputes and caches everything layers need once
 per batch topology: symmetric edges, GCN normalisation, degrees, and —
-the numpy-backend hot path — :class:`~repro.tensor.SegmentPlan` objects
-turning every scatter/gather in the layer stack into planned kernels.
-Plans and fused SpMM operators are built by the *active scatter
-backend* (:mod:`repro.tensor.backends`: ``csr``, ``numpy-reduceat``,
-``bucketed``, ...) and cached **per backend name**, so a session that
-switches backends mid-stream — a benchmark sweep, a serving tier pinned
-to ``bucketed`` next to a trainer on ``csr`` — never executes one
-backend's kernels through another's cached plans. The relation
+the numpy hot path — :class:`~repro.tensor.SegmentPlan` objects turning
+every scatter/gather in the layer stack into planned kernels, and the
+fused CSR operators of :func:`~repro.tensor.sparse_operator` (GCN's
+normalised adjacency, the relational layers' per-key aggregation). Each
+is built on first use and then held by the context. The relation
 partition is one lexsort by (relation, dst); per-relation edge lists
 are slices of the sorted edge array, already dst-contiguous, so their
 scatter plans skip the argsort too. Plans are built once per context
@@ -42,24 +39,13 @@ from repro.graph.batch import Batch
 from repro.tensor import (
     SegmentPlan,
     Tensor,
-    active_backend,
     gather_rows,
     get_default_dtype,
     plans_enabled,
     scatter_sum,
+    sparse_operator,
 )
 from repro.tensor.profiling import profiled
-from repro.utils.cache import LRUCache
-
-#: Bounds on the per-context plan/operator caches. A context serves a
-#: fixed topology, so the key space is small (5 named plans x backends,
-#: one GCN operator per backend, one fusion per stacked-weight depth) —
-#: the LRU is a leak guard for long mixed-backend streams, not a tuning
-#: knob.
-PLAN_CACHE_SIZE = 32
-GCN_OPERATOR_CACHE_SIZE = 4
-RELATION_PLAN_CACHE_SIZE = 64
-RELATION_FUSION_CACHE_SIZE = 4
 
 
 class GraphContext:
@@ -141,15 +127,10 @@ class GraphContext:
             .reshape(-1, 1)
         )
 
-        # Every cache below keys by the active scatter backend's name, so
-        # plans/operators built by one backend are never executed by
-        # another (mixed-backend sessions stay isolated). All are
-        # LRU-bounded: a stream that cycles through many backends or
-        # stacked-weight depths must not grow them without limit.
-        self._plan_cache = LRUCache(PLAN_CACHE_SIZE)
-        self._gcn_operators = LRUCache(GCN_OPERATOR_CACHE_SIZE)
-        self._relation_plans = LRUCache(RELATION_PLAN_CACHE_SIZE)
-        self._relation_fusions = LRUCache(RELATION_FUSION_CACHE_SIZE)
+        # Keyed by relation id and by stacked-weight depth: both are
+        # bounded by the network's edge vocabulary.
+        self._relation_plans: dict[int, tuple[SegmentPlan, SegmentPlan]] = {}
+        self._relation_fusions: dict[int, RelationFusion] = {}
 
     @classmethod
     def from_batch(cls, batch: Batch, num_edge_types: int) -> "GraphContext":
@@ -176,43 +157,31 @@ class GraphContext:
             cache.put(int(num_edge_types), ctx)
         return ctx
 
-    # -- precomputed scatter plans (lazy, once per context per backend) --
-    def _plan(
-        self, key: str, index: np.ndarray, dim_size: int, assume_sorted: bool = False
-    ) -> SegmentPlan:
-        backend = active_backend()
-        plan = self._plan_cache.get((backend.name, key))
-        if plan is None:
-            plan = backend.build_plan(
-                index, dim_size, validate=False, assume_sorted=assume_sorted
-            )
-            self._plan_cache.put((backend.name, key), plan)
-        return plan
-
-    @property
+    # -- precomputed scatter plans (lazy, once per context) -------------
+    @cached_property
     def sym_dst_plan(self) -> SegmentPlan:
         """Scatter-into-dst plan over symmetric edges (SAGE, GIN, PNA)."""
-        return self._plan("sym_dst", self.sym_dst, self.num_nodes)
+        return SegmentPlan(self.sym_dst, self.num_nodes, validate=False)
 
-    @property
+    @cached_property
     def sym_src_plan(self) -> SegmentPlan:
         """Backward plan of ``gather_rows(x, sym_src)`` over symmetric edges."""
-        return self._plan("sym_src", self.sym_src, self.num_nodes)
+        return SegmentPlan(self.sym_src, self.num_nodes, validate=False)
 
-    @property
+    @cached_property
     def gcn_dst_plan(self) -> SegmentPlan:
         """Scatter plan over the GCN edge set (symmetric + self loops)."""
-        return self._plan("gcn_dst", self.gcn_dst, self.num_nodes)
+        return SegmentPlan(self.gcn_dst, self.num_nodes, validate=False)
 
-    @property
+    @cached_property
     def gcn_src_plan(self) -> SegmentPlan:
         """Backward plan of ``gather_rows(x, gcn_src)``."""
-        return self._plan("gcn_src", self.gcn_src, self.num_nodes)
+        return SegmentPlan(self.gcn_src, self.num_nodes, validate=False)
 
-    @property
+    @cached_property
     def pool_plan(self) -> SegmentPlan:
         """Pooling plan: nodes into graphs by the ``batch`` vector."""
-        return self._plan("pool", self.batch, self.num_graphs)
+        return SegmentPlan(self.batch, self.num_graphs, validate=False)
 
     @cached_property
     def mean_log_degree(self) -> float:
@@ -255,10 +224,12 @@ class GraphContext:
         case only the context's relations carry edges). Cached per depth;
         all layers of a network share one fusion per context.
         """
-        fusion = self._relation_fusions.get(int(num_relations))
+        num_relations = int(num_relations)
+        fusion = self._relation_fusions.get(num_relations)
         if fusion is None:
-            fusion = RelationFusion(self, int(num_relations))
-            self._relation_fusions.put(int(num_relations), fusion)
+            fusion = self._relation_fusions[num_relations] = RelationFusion(
+                self, num_relations
+            )
         return fusion
 
     def relation_plans(self, relation: int) -> tuple[SegmentPlan, SegmentPlan]:
@@ -268,51 +239,36 @@ class GraphContext:
         ``dst_plan`` the forward scatter into target nodes (argsort-free:
         the slice is dst-sorted by construction).
         """
-        backend = active_backend()
-        plans = self._relation_plans.get((backend.name, relation))
+        plans = self._relation_plans.get(relation)
         if plans is None:
             src, dst = self.relation_edges(relation)
-            plans = (
-                backend.build_plan(src, self.num_nodes, validate=False),
-                backend.build_plan(
-                    dst, self.num_nodes, validate=False, assume_sorted=True
-                ),
+            plans = self._relation_plans[relation] = (
+                SegmentPlan(src, self.num_nodes, validate=False),
+                SegmentPlan(dst, self.num_nodes, validate=False, assume_sorted=True),
             )
-            self._relation_plans.put((backend.name, relation), plans)
         return plans
 
+    @cached_property
     def _gcn_operator(self):
-        """The ``Â`` SpMM operator of the active backend, or ``None``.
+        """The ``Â`` SpMM operator.
 
         The whole GCN propagation — gather, edge-wise normalisation,
         scatter — collapses into one sparse matvec per direction (the
         adjoint serves the backward); duplicate (dst, src) pairs sum on
-        conversion, matching the scatter semantics. Cached per backend
-        name so mixed-backend sessions never share kernels.
+        conversion, matching the scatter semantics.
         """
-        backend = active_backend()
-        return self._gcn_operators.get_or_create(
-            backend.name,
-            lambda: backend.sparse_operator(
-                self.gcn_dst,
-                self.gcn_src,
-                self.gcn_norm.reshape(-1),
-                (self.num_nodes, self.num_nodes),
-            ),
+        return sparse_operator(
+            self.gcn_dst,
+            self.gcn_src,
+            self.gcn_norm.reshape(-1),
+            (self.num_nodes, self.num_nodes),
         )
 
     # -- aggregation helpers ---------------------------------------------
     def propagate_gcn(self, x: Tensor) -> Tensor:
         """One application of the normalised adjacency ``D^-1/2 Ã D^-1/2``."""
-        operator = self._gcn_operator() if plans_enabled() else None
-        if operator is not None:
-            data = np.asarray(operator.apply(x.data))
-
-            def backward(grad: np.ndarray) -> None:
-                if x.requires_grad:
-                    x._accumulate(np.asarray(operator.apply_t(grad)))
-
-            return Tensor._make(data, (x,), backward)
+        if plans_enabled():
+            return _apply_operator(self._gcn_operator, x)
         messages = gather_rows(x, self.gcn_src, plan=self.gcn_src_plan)
         messages = messages * Tensor(self.gcn_norm)
         return scatter_sum(messages, self.gcn_dst, self.num_nodes, plan=self.gcn_dst_plan)
@@ -336,6 +292,16 @@ class GraphContext:
             num_graphs=self.num_graphs,
             num_edge_types=self.num_edge_types,
         )
+
+
+def _apply_operator(operator, x: Tensor) -> Tensor:
+    """``operator`` applied to ``x``; its adjoint serves the backward."""
+
+    def backward(grad: np.ndarray) -> None:
+        if x.requires_grad:
+            x._accumulate(operator.apply_t(grad))
+
+    return Tensor._make(operator.apply(x.data), (x,), backward)
 
 
 class RelationKeys(NamedTuple):
@@ -369,9 +335,8 @@ class RelationFusion:
     1. :meth:`aggregate` — ``[N, D] -> [U, D]``, one row per unique
        (relation, dst) key of :attr:`keys`: the sum (GGNN) or the
        ``1/c_{v,r}``-weighted mean (RGCN) of the key's source rows. One
-       sparse operator of the active scatter backend; the plan-threaded
-       gather + scatter over ``keys.inverse`` when the backend has none
-       or under ``use_plans(False)``.
+       sparse operator; the plan-threaded gather + scatter over
+       ``keys.inverse`` under ``use_plans(False)``.
     2. :func:`~repro.tensor.relation_segment_matmul` — one GEMM per
        relation over its contiguous key rows, then, inside the same
        kernel, a segment sum of the key rows onto ``keys.dst``
@@ -386,7 +351,7 @@ class RelationFusion:
     helpers: ``norm_for(dtype)`` (the per-edge ``1/c_{v,r}`` column) and
     :meth:`weighted_scatter` (lands per-edge messages with that weight
     as one sparse operator). Plans and operators are built lazily and
-    cached per backend name.
+    cached on the fusion.
     """
 
     def __init__(self, ctx: GraphContext, num_relations: int):
@@ -401,14 +366,11 @@ class RelationFusion:
         self.starts = starts[:active]
         self.ends = ends[:active]
         self.num_edges = stop
-        # Plan/operator caches key by the active backend's name so each
-        # backend executes only kernels it built itself. LRU-bounded like
-        # the context caches (backends x endpoints x dtypes is small, but
-        # streaming sessions must not leak even across odd mixes).
-        self._plans = LRUCache(RELATION_PLAN_CACHE_SIZE)
-        self._norms = LRUCache(GCN_OPERATOR_CACHE_SIZE)
-        self._aggregate_ops = LRUCache(RELATION_PLAN_CACHE_SIZE)
-        self._edge_ops = LRUCache(GCN_OPERATOR_CACHE_SIZE)
+        # Keyed by plan name, dtype and ``weighted``: a handful of keys.
+        self._plans: dict[str, SegmentPlan] = {}
+        self._norms: dict[np.dtype, np.ndarray] = {}
+        self._aggregate_ops: dict[tuple[np.dtype, bool], object] = {}
+        self._edge_ops: dict[np.dtype, object] = {}
 
     def index(self, endpoint: str) -> np.ndarray:
         """Partitioned node ids of edge ``endpoint`` (``"src"``/``"dst"``)."""
@@ -426,8 +388,7 @@ class RelationFusion:
         table and ``"inverse"`` segments ``keys.inverse`` into the key
         rows (already sorted, so its plan skips the argsort).
         """
-        backend = active_backend()
-        plan = self._plans.get((backend.name, name))
+        plan = self._plans.get(name)
         if plan is None:
             if name == "key_dst":
                 index, dim_size, assume_sorted = self.keys.dst, self.num_nodes, False
@@ -437,10 +398,9 @@ class RelationFusion:
                 )
             else:
                 index, dim_size, assume_sorted = self.index(name), self.num_nodes, False
-            plan = backend.build_plan(
+            plan = self._plans[name] = SegmentPlan(
                 index, dim_size, validate=False, assume_sorted=assume_sorted
             )
-            self._plans.put((backend.name, name), plan)
         return plan
 
     @cached_property
@@ -487,31 +447,29 @@ class RelationFusion:
         if norm is None:
             keys = self.keys
             norm = (1.0 / keys.counts).astype(dtype)[keys.inverse].reshape(-1, 1)
-            self._norms.put(dtype, norm)
+            self._norms[dtype] = norm
         return norm
 
     # -- aggregate-then-transform (RGCN, GGNN) ----------------------------
     def _aggregate_operator(self, dtype, weighted: bool):
         """``[U, N]`` SpMM operator summing source rows per key
         (``1/c_{v,r}``-weighted when ``weighted``); the adjoint serves the
-        backward. ``None`` when the active backend has no fused operator."""
-        backend = active_backend()
-        key = (backend.name, np.dtype(dtype), weighted)
-
-        def build():
+        backward."""
+        key = (np.dtype(dtype), weighted)
+        operator = self._aggregate_ops.get(key)
+        if operator is None:
             data = (
                 self.norm_for(dtype).reshape(-1)
                 if weighted
                 else np.ones(self.num_edges, dtype=dtype)
             )
-            return backend.sparse_operator(
+            operator = self._aggregate_ops[key] = sparse_operator(
                 self.keys.inverse,
                 self.src,
                 data,
                 (len(self.keys.dst), self.num_nodes),
             )
-
-        return self._aggregate_ops.get_or_create(key, build)
+        return operator
 
     @profiled("relation_aggregate")
     def aggregate(self, x: Tensor, weighted: bool = False) -> Tensor:
@@ -519,19 +477,12 @@ class RelationFusion:
 
         Row ``u`` is ``sum_e w_e * x[src_e]`` over the edges of key ``u``
         (``w_e = 1/c_{v,r}`` when ``weighted`` — RGCN's per-relation mean
-        — else 1). With a sparse operator this is ONE sparse matvec per
-        direction; otherwise it decomposes into the plan-threaded gather
-        (+ weight multiply) + scatter over ``keys.inverse``.
+        — else 1). Planned, this is ONE sparse matvec per direction;
+        under ``use_plans(False)`` it decomposes into the gather (+ weight
+        multiply) + scatter over ``keys.inverse``.
         """
-        operator = self._aggregate_operator(x.dtype, weighted) if plans_enabled() else None
-        if operator is not None:
-            data = np.asarray(operator.apply(x.data))
-
-            def backward(grad: np.ndarray) -> None:
-                if x.requires_grad:
-                    x._accumulate(np.asarray(operator.apply_t(grad)))
-
-            return Tensor._make(data, (x,), backward)
+        if plans_enabled():
+            return _apply_operator(self._aggregate_operator(x.dtype, weighted), x)
         messages = gather_rows(x, self.src, plan=self.plan("src"))
         if weighted:
             messages = messages * Tensor(self.norm_for(messages.dtype))
@@ -542,35 +493,26 @@ class RelationFusion:
     # -- per-edge messages (FiLM) ------------------------------------------
     def _edge_operator(self, dtype):
         """``[N, E]`` SpMM operator landing per-edge messages on their dst
-        rows with the ``1/c_{v,r}`` weight applied. ``None`` when the
-        active backend has no fused operator."""
-        backend = active_backend()
-        key = (backend.name, np.dtype(dtype))
-        return self._edge_ops.get_or_create(
-            key,
-            lambda: backend.sparse_operator(
+        rows with the ``1/c_{v,r}`` weight applied."""
+        dtype = np.dtype(dtype)
+        operator = self._edge_ops.get(dtype)
+        if operator is None:
+            operator = self._edge_ops[dtype] = sparse_operator(
                 self.dst,
                 np.arange(self.num_edges),
                 self.norm_for(dtype).reshape(-1),
                 (self.num_nodes, self.num_edges),
-            ),
-        )
+            )
+        return operator
 
     def weighted_scatter(self, messages: Tensor) -> Tensor:
         """Land per-edge ``messages`` on dst rows, ``1/c_{v,r}``-weighted.
 
         The fused equivalent of ``messages * norm`` + ``scatter_sum`` —
-        one sparse matvec per direction with scipy, the plan-threaded
-        composition otherwise.
+        one sparse matvec per direction when planned, the composition
+        under ``use_plans(False)``.
         """
-        operator = self._edge_operator(messages.dtype) if plans_enabled() else None
-        if operator is not None:
-            data = np.asarray(operator.apply(messages.data))
-
-            def backward(grad: np.ndarray) -> None:
-                if messages.requires_grad:
-                    messages._accumulate(np.asarray(operator.apply_t(grad)))
-
-            return Tensor._make(data, (messages,), backward)
+        if plans_enabled():
+            return _apply_operator(self._edge_operator(messages.dtype), messages)
         weighted = messages * Tensor(self.norm_for(messages.dtype))
         return scatter_sum(weighted, None, self.num_nodes, plan=self.plan("dst"))

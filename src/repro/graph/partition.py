@@ -85,9 +85,8 @@ class PartitionedGraph:
     Built by :func:`partition_graph`. ``blocks[b]`` holds the *core*
     node ids of block ``b`` (ascending); :meth:`block_context` extends a
     block with its ``hops``-hop halo and builds the induced
-    ``GraphContext`` whose scatter plans are cached per block **and per
-    active backend name** (plan caches inside the context key by backend,
-    exactly like full-graph contexts).
+    ``GraphContext``, cached per block, whose scatter plans are built
+    once per context exactly like full-graph contexts.
     """
 
     def __init__(

@@ -7,6 +7,10 @@ subset of ``torch`` that the GNN zoo needs, the scatter/gather
 primitives that message passing is built from, and fused dense kernels
 (:mod:`repro.tensor.fused`) for the matmul-bound relational hot path.
 
+Message passing runs on one scatter engine (:mod:`repro.tensor.scatter`):
+a :class:`SegmentPlan` per index vector, whose sums are scipy CSR
+products, and :func:`sparse_operator` for fused gather+weight+scatter.
+
 Precision policy
 ----------------
 The engine computes in **float32 by default**: tensors built from python
@@ -66,18 +70,8 @@ from repro.tensor.scatter import (
     scatter_std,
     scatter_sum,
     segment_counts,
+    sparse_operator,
     use_plans,
-)
-from repro.tensor.backends import (
-    ScatterBackend,
-    active_backend,
-    available_backends,
-    build_plan,
-    get_backend,
-    register_backend,
-    scatter_workers,
-    set_backend,
-    use_backend,
 )
 from repro.tensor.fused import (
     addmm,
@@ -128,15 +122,7 @@ __all__ = [
     "tanh",
     "where",
     "SegmentPlan",
-    "ScatterBackend",
-    "active_backend",
-    "available_backends",
-    "build_plan",
-    "get_backend",
-    "register_backend",
-    "scatter_workers",
-    "set_backend",
-    "use_backend",
+    "sparse_operator",
     "gather_rows",
     "plans_enabled",
     "use_plans",

@@ -11,10 +11,12 @@ Two kernel families back every operation:
   calls, which accept any index vector but process one element at a
   time;
 - the **planned** path takes a :class:`SegmentPlan` — one stable argsort
-  of the index vector plus the segment boundaries of the sorted copy —
-  and reduces each contiguous run with ``np.add.reduceat`` /
-  ``np.maximum.reduceat``, which is typically an order of magnitude
-  faster on the wide message matrices message passing produces.
+  of the index vector plus the segment boundaries of the sorted copy.
+  Segment sums (scatter_sum/mean/softmax and every gather backward) run
+  as one scipy CSR product ``S @ values``; segment max/min run one
+  sorted ``ufunc.reduceat`` over contiguous runs. Both are typically an
+  order of magnitude faster on the wide message matrices message
+  passing produces.
 
 A plan is profitable exactly when the same index vector is reduced many
 times (every layer of every forward/backward over a batch), which is why
@@ -23,31 +25,10 @@ batch topology and threads them through the layers. Both paths produce
 the same values and gradients; ``use_plans(False)`` forces the fallback
 kernels for benchmarking and differential testing.
 
-Backend selection
------------------
-*How* a planned kernel executes is pluggable. The registry in
-:mod:`repro.tensor.backends` maps names to :class:`ScatterBackend`
-implementations; each backend builds :class:`SegmentPlan` (sub)classes
-whose ``segment_sum`` / ``segment_reduce`` run its kernels, so every
-scatter op below and the ``gather_rows`` backward execute through the
-selected backend without further dispatch. Registered today:
-
-- ``"csr"`` (default) — one scipy CSR scatter matrix per plan, segment
-  max/min via sorted ``reduceat`` (the PR 2 engine, this module's
-  :class:`SegmentPlan`);
-- ``"numpy-reduceat"`` — portable sorted-``reduceat`` kernels only, no
-  scipy required;
-- ``"bucketed"`` — degree-bucketed rows cut into nonzero-balanced
-  shards executed on a thread pool; the backend for skew-heavy graphs
-  on multi-core hosts.
-
-Select with ``repro.tensor.use_backend("bucketed")`` (scoped),
-``set_backend`` (process-wide) or the ``REPRO_SCATTER_BACKEND``
-environment variable; unknown names fail fast with the valid set.
-Plans are cached per backend on ``GraphContext``/``Batch``, so
-switching backends mid-session never reuses another backend's kernels.
-``use_plans(False)`` still forces the unbuffered fallback regardless of
-the selected backend — the common differential baseline.
+:func:`sparse_operator` builds the fused gather+weight+scatter operator
+(``out = S @ X`` with a lazily built adjoint) that GCN propagation and
+the relational layers cache on their
+:class:`~repro.gnn.message_passing.GraphContext`.
 
 Index validation happens once per plan (at construction). The planless
 path validates per call unless the caller passes ``validated=True``
@@ -60,11 +41,7 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
-
-try:  # pragma: no cover - exercised implicitly by every planned kernel
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - container always ships scipy
-    _sparse = None
+from scipy import sparse
 
 from repro.tensor.profiling import profiled
 from repro.tensor.tensor import Tensor
@@ -111,7 +88,7 @@ class SegmentPlan:
     where ``S[seg, row] = 1`` — the CSR structure is assembled directly
     from the argsort, with no COO conversion. Segment max/min (no matmul
     form) gather into sorted order and run a single ``ufunc.reduceat``
-    over contiguous runs; the same path backs sums when scipy is absent.
+    over contiguous runs, as do sums of values with more than two axes.
     Empty segments are handled by reducing only the non-empty runs and
     leaving the fill value in place.
 
@@ -170,11 +147,11 @@ class SegmentPlan:
         exactly the sorted order already computed, so the CSR arrays are
         assembled without any further sorting.
         """
-        if self._csr is None and _sparse is not None:
+        if self._csr is None:
             cols = self.order if self.order is not None else np.arange(self.size)
             # float32 ones: exact for both float32 and float64 operands, and
             # keeps float32 values from being silently promoted to float64.
-            self._csr = _sparse.csr_matrix(
+            self._csr = sparse.csr_matrix(
                 (np.ones(self.size, dtype=np.float32), cols, self._indptr),
                 shape=(self.dim_size, self.size),
             )
@@ -189,13 +166,48 @@ class SegmentPlan:
 
     def segment_sum(self, values: np.ndarray) -> np.ndarray:
         if values.ndim <= 2:
-            matrix = self._scatter_matrix()
-            if matrix is not None:
-                return np.asarray(matrix @ values)
+            return np.asarray(self._scatter_matrix() @ values)
         return self.segment_reduce(values, np.add, 0.0)
 
     def __repr__(self) -> str:
         return f"SegmentPlan(size={self.size}, dim_size={self.dim_size})"
+
+
+class _SparseOperator:
+    """A fused SpMM operator with a lazily built adjoint.
+
+    ``apply`` computes ``S @ X``; ``apply_t`` computes ``S.T @ G`` (the
+    backward of ``apply``). The transpose is built on first use so
+    inference-only paths never pay for it.
+    """
+
+    __slots__ = ("_matrix", "_transpose")
+
+    def __init__(self, matrix):
+        self._matrix = matrix
+        self._transpose = None
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        return np.asarray(self._matrix @ values)
+
+    def apply_t(self, grad: np.ndarray) -> np.ndarray:
+        if self._transpose is None:
+            self._transpose = self._matrix.T.tocsr()
+        return np.asarray(self._transpose @ grad)
+
+
+def sparse_operator(
+    rows: np.ndarray,
+    cols: np.ndarray,
+    weights: np.ndarray,
+    shape: tuple[int, int],
+) -> _SparseOperator:
+    """``S[rows[e], cols[e]] += weights[e]`` as a CSR SpMM operator.
+
+    Duplicate (row, col) pairs sum on conversion, matching the scatter
+    semantics of the gather + multiply + ``scatter_sum`` it replaces.
+    """
+    return _SparseOperator(sparse.csr_matrix((weights, (rows, cols)), shape=shape))
 
 
 def _resolve_index(

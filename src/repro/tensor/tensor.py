@@ -302,10 +302,11 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-                # The buffer escaped into the closures (pass-through ops
-                # adopt it); it is no longer exclusively ours to mutate.
-                # A later backward() without zero_grad falls back to the
-                # out-of-place accumulation.
+                # Only op outputs get here (leaves have no closure). Their
+                # gradient has been handed to the parents: holding it
+                # would keep a second copy of the activations alive, and
+                # a later backward() would re-send it on top of the new one.
+                node.grad = None
                 node._grad_owned = False
 
     # ------------------------------------------------------------------

@@ -36,16 +36,13 @@ _VALID_DTYPES = ("float32", "float64")
 
 
 def pytest_configure(config):
-    """Honour ``REPRO_DTYPE`` and ``REPRO_SCATTER_BACKEND`` (CI matrix).
+    """Honour ``REPRO_DTYPE`` (CI matrix).
 
-    The suite normally runs under the production float32 policy and the
-    default ``csr`` scatter backend; the CI matrix re-runs it with
-    ``REPRO_DTYPE=float64`` (the opt-out path of
-    :func:`repro.tensor.set_default_dtype`) and with
-    ``REPRO_SCATTER_BACKEND=bucketed`` so every backend keeps the whole
-    suite green. Unknown values for either variable abort collection
-    with the valid set — a misspelled matrix entry must not silently
-    test the defaults twice.
+    The suite normally runs under the production float32 policy; the CI
+    matrix re-runs it with ``REPRO_DTYPE=float64`` (the opt-out path of
+    :func:`repro.tensor.set_default_dtype`). An unknown value aborts
+    collection with the valid set — a misspelled matrix entry must not
+    silently test the default twice.
     """
     dtype = os.environ.get("REPRO_DTYPE")
     if dtype:
@@ -57,18 +54,6 @@ def pytest_configure(config):
         from repro.tensor import set_default_dtype
 
         set_default_dtype(np.dtype(dtype))
-
-    backend = os.environ.get("REPRO_SCATTER_BACKEND")
-    if backend:
-        # repro.tensor.backends applies the variable at import, so an
-        # unknown name raises as soon as the package loads; surface it
-        # as a clean usage error either way.
-        try:
-            from repro.tensor import get_backend
-
-            get_backend(backend)
-        except ValueError as exc:
-            raise pytest.UsageError(str(exc)) from None
 
 
 @pytest.fixture(scope="session")

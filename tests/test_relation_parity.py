@@ -9,14 +9,16 @@ Three contracts:
    and ``U <= min(E, R * N)``;
 2. forward values and every gradient of rgcn/ggnn/film match the
    per-relation loops of ``tests/reference.py`` — float64 near-exactly,
-   float32 within rtol 5e-3 / atol 1e-4 — under every scatter backend
-   and under ``use_plans(False)``;
+   float32 within rtol 5e-3 / atol 1e-4 — with the csr kernels and
+   under ``use_plans(False)``;
 3. the per-relation GEMMs run on exactly the unique-dst rows, landing
    them on their nodes matches a plain segment sum, and the kernels
    show up by name in an op profile and its report.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ import repro.tensor.fused as fused
 from repro.gnn import GraphContext, build_layer
 from repro.obs import RunLedger, load_run
 from repro.obs.report import render_report
-from repro.tensor import Tensor, default_dtype, use_backend, use_plans, use_profiling
+from repro.tensor import Tensor, default_dtype, use_plans, use_profiling
 from tests.reference import reference_film, reference_ggnn, reference_rgcn
 
 DIM = 6
@@ -35,8 +37,8 @@ TOLERANCES = {
     np.float64: {"rtol": 1e-8, "atol": 1e-10},
     np.float32: {"rtol": 5e-3, "atol": 1e-4},
 }
-#: Every scatter backend, plus the unplanned kernels.
-MODES = ("csr", "bucketed", "numpy-reduceat", "no-plans")
+#: The csr kernels, plus the unplanned kernels.
+MODES = ("csr", "no-plans")
 
 
 def make_context(num_nodes=9, num_edges=30, num_edge_types=4, seed=0):
@@ -54,9 +56,7 @@ def make_context(num_nodes=9, num_edges=30, num_edge_types=4, seed=0):
 
 
 def run_mode(mode: str):
-    if mode == "no-plans":
-        return use_plans(False)
-    return use_backend(mode)
+    return use_plans(False) if mode == "no-plans" else contextlib.nullcontext()
 
 
 def unique_dst_counts(ctx, relations):
@@ -271,17 +271,12 @@ def test_landed_segment_matmul_matches_segment_sum(mode, rng):
 
 
 def test_aggregate_fallbacks_match_sparse_operator(rng):
-    """``use_plans(False)`` and the operator-less reduceat backend compose
-    gather + scatter over ``keys.inverse`` and agree with csr's operator."""
+    """``use_plans(False)`` composes gather + scatter over
+    ``keys.inverse`` and agrees with the csr operator."""
     ctx = make_context()
     fusion = ctx.relation_fusion(RELATIONS)
     x = Tensor(rng.normal(size=(ctx.num_nodes, DIM)))
-    with use_backend("csr"):
-        expected = fusion.aggregate(x, weighted=True).data
-    with use_backend("numpy-reduceat"):
-        reduceat = fusion.aggregate(x, weighted=True).data
-        assert fusion._aggregate_operator(x.dtype, True) is None
+    expected = fusion.aggregate(x, weighted=True).data
     with use_plans(False):
         unplanned = fusion.aggregate(x, weighted=True).data
-    np.testing.assert_allclose(reduceat, expected, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(unplanned, expected, rtol=1e-10, atol=1e-12)

@@ -3,11 +3,13 @@
 Every scatter op must produce the same forward values and the same
 gradients whether it runs the planned sorted-segment kernels or the
 unbuffered fallback — across unsorted, duplicated and empty segments,
-single- and multi-graph batches, and under EVERY registered scatter
-backend (csr, numpy-reduceat, bucketed, and whatever plugs in later).
-Also pins the context-reuse contract: one :class:`GraphContext` per
-:class:`Batch` per ``num_edge_types``.
+single- and multi-graph batches, and when a plan is passed but
+``use_plans(False)`` forces the fallback. Also pins the context-reuse
+contract: one :class:`GraphContext` per :class:`Batch` per
+``num_edge_types``, and one plan or operator per context.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -20,8 +22,6 @@ from repro.graph.batch import Batch
 from repro.tensor import (
     SegmentPlan,
     Tensor,
-    available_backends,
-    build_plan,
     default_dtype,
     gather_rows,
     gradcheck,
@@ -32,7 +32,7 @@ from repro.tensor import (
     scatter_softmax,
     scatter_std,
     scatter_sum,
-    use_backend,
+    sparse_operator,
     use_plans,
 )
 
@@ -170,10 +170,17 @@ class TestSegmentPlanContract:
         )
 
 
+#: The csr engine, and plan-threaded calls under ``use_plans(False)``.
+MODES = ("csr", "no-plans")
+
+
+def _mode(mode: str):
+    return use_plans(False) if mode == "no-plans" else contextlib.nullcontext()
+
+
 def _skewed_case(dtype, rng):
     """A hub-heavy index: one segment holds ~60% of rows, a block of
-    segments is empty — the degree distribution the bucketed backend's
-    nonzero-balanced sharding exists for."""
+    segments is empty — the skewed degree distribution of real CDFGs."""
     n_src, dim = 220, 40
     idx = rng.integers(20, dim, n_src)
     idx[: int(n_src * 0.6)] = 3  # hub segment; segments [0, 20) stay empty
@@ -183,103 +190,77 @@ def _skewed_case(dtype, rng):
 
 
 class TestBackendParity:
-    """Differential parity of every registered backend vs the fallback.
+    """Differential parity of each execution mode vs the planless path.
 
-    The ``np.add.at`` composition (``use_plans(False)``) is the single
-    source of truth; each backend's planned kernels must reproduce its
-    forward values and gradients for all six ops, both float dtypes,
-    and the degree distributions that stress bucketing.
+    The planless ``np.add.at`` composition is the single source of
+    truth; the csr kernels, and plan-threaded calls forced onto the
+    fallback by ``use_plans(False)``, must reproduce its forward values
+    and gradients for all six ops, both float dtypes, and skewed and
+    empty segments.
     """
 
-    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", sorted(OPS))
     @given(case=_segment_case())
     @settings(max_examples=15, deadline=None)
-    def test_forward_and_grad_parity(self, backend_name, name, case):
+    def test_forward_and_grad_parity(self, mode, name, case):
         src, idx, dim = case
         op = OPS[name]
-        with use_backend(backend_name):
-            plan = build_plan(idx, dim)
+        with _mode(mode):
+            plan = SegmentPlan(idx, dim)
             planned_out, planned_grad = _run(op, src, idx, dim, plan)
         reference_out, reference_grad = _run(op, src, idx, dim, None)
         np.testing.assert_allclose(planned_out, reference_out, atol=1e-9)
         np.testing.assert_allclose(planned_grad, reference_grad, atol=1e-9)
 
-    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("name", sorted(OPS))
-    def test_skewed_degree_graph(self, backend_name, dtype, name, rng):
+    def test_skewed_degree_graph(self, mode, dtype, name, rng):
         src, idx, dim = _skewed_case(dtype, rng)
         # float32 reductions reorder across kernels; the parity band is
         # the same one the planned-vs-fallback model tests rely on.
         tol = dict(atol=1e-4, rtol=1e-4) if dtype == np.float32 else dict(atol=1e-9)
-        with use_backend(backend_name):
-            plan = build_plan(idx, dim)
+        with _mode(mode):
+            plan = SegmentPlan(idx, dim)
             planned_out, planned_grad = _run(OPS[name], src, idx, dim, plan)
         reference_out, reference_grad = _run(OPS[name], src, idx, dim, None)
         np.testing.assert_allclose(planned_out, reference_out, **tol)
         np.testing.assert_allclose(planned_grad, reference_grad, **tol)
 
-    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", sorted(OPS))
-    def test_empty_segment_graph(self, backend_name, name):
+    def test_empty_segment_graph(self, mode, name):
         src = np.empty((0, 2))
         idx = np.empty(0, dtype=np.int64)
-        with use_backend(backend_name):
-            plan = build_plan(idx, 4)
+        with _mode(mode):
+            plan = SegmentPlan(idx, 4)
             planned_out, _ = _run(OPS[name], src, idx, 4, plan)
         reference_out, _ = _run(OPS[name], src, idx, 4, None)
         np.testing.assert_allclose(planned_out, reference_out)
 
-    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", sorted(OPS))
-    def test_against_finite_differences(self, backend_name, name, rng):
+    def test_against_finite_differences(self, mode, name, rng):
         src = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
         idx = np.array([3, 0, 0, 2, 3, 3])  # unsorted, duplicated, seg 1 empty
         tol = {"atol": 1e-3, "rtol": 1e-3} if name == "std" else {}
-        with use_backend(backend_name):
-            plan = build_plan(idx, 4)
+        with _mode(mode):
+            plan = SegmentPlan(idx, 4)
             assert gradcheck(lambda: OPS[name](src, idx, 4, plan=plan), [src], **tol)
 
-    @pytest.mark.parametrize("backend_name", available_backends())
-    def test_gather_backward_parity(self, backend_name, rng):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_gather_backward_parity(self, mode, rng):
         x_data = rng.normal(size=(5, 3))
         idx = np.array([4, 0, 0, 2, 4, 4])
-        with use_backend(backend_name):
-            plan = build_plan(idx, 5)
+        with _mode(mode):
+            plan = SegmentPlan(idx, 5)
             x = Tensor(x_data.copy(), requires_grad=True)
             gather_rows(x, idx, plan=plan).sum().backward()
             planned_grad = x.grad
         x = Tensor(x_data.copy(), requires_grad=True)
         gather_rows(x, idx).sum().backward()
         np.testing.assert_allclose(planned_grad, x.grad, atol=1e-12)
-
-
-@pytest.mark.parametrize("backend_name", available_backends())
-@pytest.mark.parametrize("model_name", ["gcn", "rgcn"])
-def test_model_parity_per_backend(dfg_samples, backend_name, model_name):
-    """Whole-network forward/backward parity under each backend (f64)."""
-    with default_dtype(np.float64):
-        batch = Batch(dfg_samples[:6])
-        model = GraphRegressor(
-            model_name,
-            in_dim=batch.feature_dim,
-            hidden_dim=8,
-            num_layers=2,
-            num_edge_types=TYPES,
-            rng=np.random.default_rng(3),
-        )
-        with use_backend(backend_name), use_plans(True):
-            planned_out, planned_grads = _model_step(model, batch)
-        with use_plans(False):
-            fallback_out, fallback_grads = _model_step(model, batch)
-    np.testing.assert_allclose(planned_out, fallback_out, atol=1e-8)
-    for name in planned_grads:
-        planned, fallback = planned_grads[name], fallback_grads[name]
-        if planned is None or fallback is None:
-            assert planned is None and fallback is None, name
-            continue
-        np.testing.assert_allclose(planned, fallback, atol=1e-7, err_msg=name)
 
 
 def _model_step(model, batch):
@@ -379,6 +360,30 @@ class TestContextReuse:
             assert dst_plan.order is None
             assert src_plan.size == len(src)
 
+    def test_plans_and_operators_built_once_per_context(self, dfg_samples):
+        ctx = GraphContext.from_batch(Batch(dfg_samples[:4]), TYPES)
+        for name in (
+            "sym_dst_plan",
+            "sym_src_plan",
+            "gcn_dst_plan",
+            "gcn_src_plan",
+            "pool_plan",
+            "_gcn_operator",
+        ):
+            assert getattr(ctx, name) is getattr(ctx, name), name
+        assert ctx.relation_plans(0) is ctx.relation_plans(0)
+        fusion = ctx.relation_fusion(ctx.num_relations)
+        assert ctx.relation_fusion(ctx.num_relations) is fusion
+        for name in ("src", "dst", "key_dst", "inverse"):
+            assert fusion.plan(name) is fusion.plan(name), name
+        for dtype in (np.float32, np.float64):
+            assert fusion.norm_for(dtype) is fusion.norm_for(dtype)
+            assert fusion._edge_operator(dtype) is fusion._edge_operator(dtype)
+            for weighted in (False, True):
+                assert fusion._aggregate_operator(
+                    dtype, weighted
+                ) is fusion._aggregate_operator(dtype, weighted)
+
     def test_context_validates_indices_once(self):
         with pytest.raises(ValueError):
             GraphContext(
@@ -389,3 +394,39 @@ class TestContextReuse:
                 num_graphs=1,
                 num_edge_types=2,
             )
+
+
+class TestSparseOperator:
+    """``sparse_operator`` — the fused gather+weight+scatter SpMM."""
+
+    def _hub_coo(self, rng, num_rows=50, num_cols=30, nnz=400):
+        rows = rng.integers(0, num_rows, nnz)
+        rows[: nnz // 2] = 7  # hub row holds half the nonzeros
+        cols = rng.integers(0, num_cols, nnz)  # duplicates (row, col) pairs
+        return rows, cols, rng.normal(size=nnz)
+
+    def test_matches_dense_reference_both_directions(self, rng):
+        rows, cols, weights = self._hub_coo(rng)
+        dense = np.zeros((50, 30))
+        np.add.at(dense, (rows, cols), weights)
+        operator = sparse_operator(rows, cols, weights, (50, 30))
+        values = rng.normal(size=(30, 6))
+        grad = rng.normal(size=(50, 6))
+        np.testing.assert_allclose(operator.apply(values), dense @ values, atol=1e-10)
+        np.testing.assert_allclose(operator.apply_t(grad), dense.T @ grad, atol=1e-10)
+
+    def test_adjoint_built_on_first_use(self, rng):
+        rows, cols, weights = self._hub_coo(rng)
+        operator = sparse_operator(rows, cols, weights, (50, 30))
+        operator.apply(rng.normal(size=(30, 2)))
+        assert operator._transpose is None
+        operator.apply_t(rng.normal(size=(50, 2)))
+        transpose = operator._transpose
+        operator.apply_t(rng.normal(size=(50, 2)))
+        assert transpose is not None and operator._transpose is transpose
+
+    def test_empty_operator(self):
+        empty = np.empty(0, dtype=np.int64)
+        operator = sparse_operator(empty, empty, np.empty(0), (5, 4))
+        np.testing.assert_array_equal(operator.apply(np.ones((4, 3))), np.zeros((5, 3)))
+        np.testing.assert_array_equal(operator.apply_t(np.ones((5, 3))), np.zeros((4, 3)))

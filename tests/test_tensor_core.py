@@ -160,6 +160,17 @@ class TestBackwardBasics:
         a.zero_grad()
         assert a.grad is None
 
+    def test_repeated_backward_accumulates_only_leaves(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        doubled = x * 2.0
+        loss = doubled.sum()
+        loss.backward()
+        # Leaf grads stay; op outputs drop theirs once passed to parents.
+        np.testing.assert_allclose(x.grad, [2.0, 2.0])
+        assert doubled.grad is None and loss.grad is None
+        loss.backward()
+        np.testing.assert_allclose(x.grad, [4.0, 4.0])
+
 
 class TestGradcheckElementwise:
     @pytest.mark.parametrize(
