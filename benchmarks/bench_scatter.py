@@ -3,25 +3,29 @@
 Three views of the same substrate:
 
 - **op-level** — each scatter primitive (forward + backward) over a grid
-  of edge counts at the ci-scale feature width, planned vs fallback;
+  of edge counts at the ci-scale feature width, with a plan vs
+  planless (``plan=None``);
 - **model-level** — a full forward+backward training step of the
   scatter-dominated GCN stack and of the relational RGCN stack on one
-  reused batch, planned (cached :class:`GraphContext` plans + CSR
-  kernels) vs the unbuffered fallback kernels, the two legs timed in
+  reused batch, planned (cached :class:`GraphContext` plans, CSR
+  kernels and sparse operators) vs the same model on the planless
+  :class:`~tests.reference.ReferenceContext` (gather + multiply +
+  ``np.add.at`` scatter compositions), the two legs timed in
   alternating rounds (``_interleaved``) so host drift hits both;
 - **skew-level** — the same GCN step on a *skew-heavy* batch
   (zipf-distributed targets: a few hub nodes absorb most edges), the
-  csr engine vs the ``use_plans(False)`` fallback, recorded as
+  csr engine vs the reference context, recorded as
   ``backends.gcn_skew.speedup.csr``.
 
 Timings land in ``BENCH_scatter.json`` (via the shared
-``write_bench_json`` helper) so later PRs can compare. The assertion is
-the ISSUE's acceptance criterion: the planned engine must deliver at
-least a 3x end-to-end step speedup on the scatter-dominated model.
+``write_bench_json`` helper) so later changes can compare. The main
+assertion: the planned engine must deliver at least a 3x end-to-end
+step speedup on the scatter-dominated model.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -41,8 +45,8 @@ from repro.tensor import (
     scatter_mean,
     scatter_softmax,
     scatter_sum,
-    use_plans,
 )
+from tests.reference import ReferenceContexts
 
 #: ci-scale hidden width (REPRO_SCALE=ci presets use hidden_dim=40).
 WIDTH = 40
@@ -64,7 +68,7 @@ OPS = {
 
 
 def _interleaved(step, legs: dict, rounds: int) -> dict:
-    """Best per-call seconds of ``step`` under each leg's context.
+    """Best per-call seconds of ``step`` inside each leg's context.
 
     ``legs`` maps a label to a factory of the context to time in. The
     legs alternate round by round, so a slow spell of the host lands on
@@ -135,7 +139,8 @@ def _synthetic_batch(rng: np.random.Generator) -> Batch:
 
 
 def _model_steps(rng: np.random.Generator) -> dict:
-    """Forward+backward step timings for GCN and RGCN, planned vs fallback."""
+    """Forward+backward step timings for GCN and RGCN, planned vs the
+    reference context."""
     batch = _synthetic_batch(rng)
     results: dict[str, dict] = {
         "batch": {"graphs": batch.num_graphs, "nodes": batch.num_nodes,
@@ -157,9 +162,10 @@ def _model_steps(rng: np.random.Generator) -> dict:
             for p in model.parameters():
                 p.grad = None
 
+        reference_contexts = ReferenceContexts(model)
         timings = _interleaved(
             step,
-            {"planned": lambda: use_plans(True), "fallback": lambda: use_plans(False)},
+            {"planned": contextlib.nullcontext, "fallback": lambda: reference_contexts},
             MODEL_ROUNDS,
         )
         timings["speedup"] = round(timings["fallback"] / timings["planned"], 2)
@@ -191,11 +197,12 @@ def _skewed_batch(rng: np.random.Generator) -> Batch:
 
 
 def _backend_steps(rng: np.random.Generator) -> dict:
-    """GCN step timings on the skew-heavy batch, csr vs the fallback.
+    """GCN step timings on the skew-heavy batch, csr vs the reference
+    context.
 
-    The csr forward is also checked against the ``use_plans(False)``
-    fallback before timing — a kernel that wins by computing the wrong
-    thing must fail here, not in some downstream training run.
+    The csr forward is also checked against the reference context's
+    before timing — a kernel that wins by computing the wrong thing must
+    fail here, not in some downstream training run.
     """
     batch = _skewed_batch(rng)
     model = GraphRegressor(
@@ -219,10 +226,11 @@ def _backend_steps(rng: np.random.Generator) -> dict:
                   "edges": batch.num_edges, "hidden_dim": WIDTH},
         "cpus": os.cpu_count() or 1,
     }
-    with use_plans(False):
+    reference_contexts = ReferenceContexts(model)
+    with reference_contexts:
         reference = step()
     np.testing.assert_allclose(step(), reference, rtol=1e-3, atol=1e-4)
-    legs = {"fallback": lambda: use_plans(False), "csr": lambda: use_plans(True)}
+    legs = {"fallback": lambda: reference_contexts, "csr": contextlib.nullcontext}
     timings: dict[str, object] = _interleaved(step, legs, BACKEND_ROUNDS)
     timings["speedup"] = {"csr": round(timings["fallback"] / timings["csr"], 2)}
     results["gcn_skew"] = timings

@@ -7,14 +7,14 @@ present so isolated nodes still update.
 
 Both per-relation weight stacks (message transform and FiLM generator)
 are :class:`~repro.nn.RelationLinear` modules. The modulation is not
-linear in the source rows, so the fused path keeps per-edge message
-values (gathered at ``src``, transformed by relation). The generator
-depends only on the edge's (relation, dst) key, so it runs once per key
-on the rows ``x[keys.dst]`` of the fusion's key table and is expanded to
-the edges by ``keys.inverse``. The modulated messages are multiplied by
-the ``1/c_{v,r}`` column and land with ONE weighted scatter — the
-per-relation ``scatter_mean`` loop is kept behind
-``use_fused_relations(False)``.
+linear in the source rows, so the layer keeps per-edge message values
+(gathered at ``src``, transformed by relation). The generator depends
+only on the edge's (relation, dst) key, so it runs once per key on the
+rows ``x[keys.dst]`` of the fusion's key table and is expanded to the
+edges by ``keys.inverse``. The modulated messages are multiplied by the
+``1/c_{v,r}`` column and land with ONE weighted scatter. The
+per-relation ``scatter_mean`` loop is ``reference_film`` in
+``tests/reference.py``, the differential baseline.
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ import numpy as np
 
 from repro.gnn.message_passing import GraphContext
 from repro.nn import Linear, Module, RelationLinear
-from repro.tensor import (
-    Tensor,
-    fused_relations_enabled,
-    gather_rows,
-    relu,
-    scatter_mean,
-)
+from repro.tensor import Tensor, gather_rows, relu
 
 
 class FiLMLayer(Module):
@@ -60,29 +54,14 @@ class FiLMLayer(Module):
 
     def forward(self, x: Tensor, ctx: GraphContext) -> Tensor:
         out = self._modulate(self.self_film(x), self.self_linear(x))
-        if fused_relations_enabled():
-            fusion = ctx.relation_fusion(self.num_relations)
-            if fusion.num_edges:
-                value = self.message_linear.edge_messages(x, fusion)
-                keys = fusion.keys
-                film_keys = self.film_generator.transform_keys(
-                    gather_rows(x, keys.dst, plan=fusion.plan("key_dst")), fusion
-                )
-                film = gather_rows(film_keys, keys.inverse, plan=fusion.plan("inverse"))
-                modulated = self._modulate(film, value)
-                out = out + fusion.weighted_scatter(modulated)
-            return out
-        for relation in range(min(self.num_relations, ctx.num_relations)):
-            src, dst = ctx.relation_edges(relation)
-            if len(src) == 0:
-                continue
-            src_plan, dst_plan = ctx.relation_plans(relation)
-            transformed = self.message_linear.single(x, relation)
-            value = gather_rows(transformed, src, plan=src_plan)
-            film = gather_rows(
-                self.film_generator.single(x, relation), dst, plan=dst_plan
+        fusion = ctx.relation_fusion(self.num_relations)
+        if fusion.num_edges:
+            value = self.message_linear.edge_messages(x, fusion)
+            keys = fusion.keys
+            film_keys = self.film_generator.transform_keys(
+                gather_rows(x, keys.dst, plan=fusion.plan("key_dst")), fusion
             )
-            out = out + scatter_mean(
-                self._modulate(film, value), dst, ctx.num_nodes, plan=dst_plan
-            )
+            film = gather_rows(film_keys, keys.inverse, plan=fusion.plan("inverse"))
+            modulated = self._modulate(film, value)
+            out = out + fusion.weighted_scatter(modulated)
         return out

@@ -15,17 +15,21 @@ fused CSR operators of :func:`~repro.tensor.sparse_operator` (GCN's
 normalised adjacency, the relational layers' per-key aggregation). Each
 is built on first use and then held by the context. The relation
 partition is one lexsort by (relation, dst); per-relation edge lists
-are slices of the sorted edge array, already dst-contiguous, so their
-scatter plans skip the argsort too. Plans are built once per context
-and shared by every layer of every forward over it; contexts are
-additionally cached on the :class:`~repro.graph.batch.Batch` they came
-from (per ``num_edge_types``), so a *reused* batch — the trainer's
-epoch loops over pinned train/val batches — never rebuilds topology.
+are slices of the sorted edge array, already dst-contiguous. Plans are
+built once per context and shared by every layer of every forward over
+it; contexts are additionally cached on the
+:class:`~repro.graph.batch.Batch` they came from (per
+``num_edge_types``), so a *reused* batch — the trainer's epoch loops
+over pinned train/val batches — never rebuilds topology.
 (Serving builds a fresh union batch per flush, so it gains the
 per-forward plan sharing and fast kernels, not cross-flush reuse.)
 
 Indices are validated once at context construction; every plan and
 kernel downstream trusts them (``validate=False`` / ``validated=True``).
+
+The planless compositions these operators replace (gather, weight
+multiply, ``scatter_sum``) are kept in ``tests/reference.py`` as a
+reference context, the differential baseline of the test suite.
 """
 
 from __future__ import annotations
@@ -39,10 +43,7 @@ from repro.graph.batch import Batch
 from repro.tensor import (
     SegmentPlan,
     Tensor,
-    gather_rows,
     get_default_dtype,
-    plans_enabled,
-    scatter_sum,
     sparse_operator,
 )
 from repro.tensor.profiling import profiled
@@ -127,9 +128,8 @@ class GraphContext:
             .reshape(-1, 1)
         )
 
-        # Keyed by relation id and by stacked-weight depth: both are
-        # bounded by the network's edge vocabulary.
-        self._relation_plans: dict[int, tuple[SegmentPlan, SegmentPlan]] = {}
+        # Keyed by stacked-weight depth, bounded by the network's edge
+        # vocabulary.
         self._relation_fusions: dict[int, RelationFusion] = {}
 
     @classmethod
@@ -232,22 +232,6 @@ class GraphContext:
             )
         return fusion
 
-    def relation_plans(self, relation: int) -> tuple[SegmentPlan, SegmentPlan]:
-        """(src_plan, dst_plan) for relation ``relation``'s edge slice.
-
-        ``src_plan`` accelerates the backward of gathering source rows;
-        ``dst_plan`` the forward scatter into target nodes (argsort-free:
-        the slice is dst-sorted by construction).
-        """
-        plans = self._relation_plans.get(relation)
-        if plans is None:
-            src, dst = self.relation_edges(relation)
-            plans = self._relation_plans[relation] = (
-                SegmentPlan(src, self.num_nodes, validate=False),
-                SegmentPlan(dst, self.num_nodes, validate=False, assume_sorted=True),
-            )
-        return plans
-
     @cached_property
     def _gcn_operator(self):
         """The ``Â`` SpMM operator.
@@ -267,11 +251,7 @@ class GraphContext:
     # -- aggregation helpers ---------------------------------------------
     def propagate_gcn(self, x: Tensor) -> Tensor:
         """One application of the normalised adjacency ``D^-1/2 Ã D^-1/2``."""
-        if plans_enabled():
-            return _apply_operator(self._gcn_operator, x)
-        messages = gather_rows(x, self.gcn_src, plan=self.gcn_src_plan)
-        messages = messages * Tensor(self.gcn_norm)
-        return scatter_sum(messages, self.gcn_dst, self.num_nodes, plan=self.gcn_dst_plan)
+        return _apply_operator(self._gcn_operator, x)
 
     def subgraph(self, keep: np.ndarray) -> "GraphContext":
         """Context induced on the kept nodes (used by Graph U-Net pooling).
@@ -334,9 +314,8 @@ class RelationFusion:
 
     1. :meth:`aggregate` — ``[N, D] -> [U, D]``, one row per unique
        (relation, dst) key of :attr:`keys`: the sum (GGNN) or the
-       ``1/c_{v,r}``-weighted mean (RGCN) of the key's source rows. One
-       sparse operator; the plan-threaded gather + scatter over
-       ``keys.inverse`` under ``use_plans(False)``.
+       ``1/c_{v,r}``-weighted mean (RGCN) of the key's source rows, as
+       one sparse operator.
     2. :func:`~repro.tensor.relation_segment_matmul` — one GEMM per
        relation over its contiguous key rows, then, inside the same
        kernel, a segment sum of the key rows onto ``keys.dst``
@@ -372,32 +351,28 @@ class RelationFusion:
         self._aggregate_ops: dict[tuple[np.dtype, bool], object] = {}
         self._edge_ops: dict[np.dtype, object] = {}
 
-    def index(self, endpoint: str) -> np.ndarray:
-        """Partitioned node ids of edge ``endpoint`` (``"src"``/``"dst"``)."""
-        if endpoint == "src":
-            return self.src
-        if endpoint == "dst":
-            return self.dst
-        raise ValueError(f"endpoint must be 'src' or 'dst', got '{endpoint}'")
-
     def plan(self, name: str) -> SegmentPlan:
         """Cached scatter plan of one of the fusion's index vectors.
 
-        ``"src"``/``"dst"`` segment the partitioned edge endpoints into
-        the node table; ``"key_dst"`` segments ``keys.dst`` into the node
-        table and ``"inverse"`` segments ``keys.inverse`` into the key
-        rows (already sorted, so its plan skips the argsort).
+        ``"src"`` segments the partitioned edge sources into the node
+        table; ``"key_dst"`` segments ``keys.dst`` into the node table
+        and ``"inverse"`` segments ``keys.inverse`` into the key rows
+        (already sorted, so its plan skips the argsort).
         """
         plan = self._plans.get(name)
         if plan is None:
-            if name == "key_dst":
+            if name == "src":
+                index, dim_size, assume_sorted = self.src, self.num_nodes, False
+            elif name == "key_dst":
                 index, dim_size, assume_sorted = self.keys.dst, self.num_nodes, False
             elif name == "inverse":
                 index, dim_size, assume_sorted = (
                     self.keys.inverse, len(self.keys.dst), True
                 )
             else:
-                index, dim_size, assume_sorted = self.index(name), self.num_nodes, False
+                raise ValueError(
+                    f"plan must be 'src', 'key_dst' or 'inverse', got '{name}'"
+                )
             plan = self._plans[name] = SegmentPlan(
                 index, dim_size, validate=False, assume_sorted=assume_sorted
             )
@@ -477,18 +452,9 @@ class RelationFusion:
 
         Row ``u`` is ``sum_e w_e * x[src_e]`` over the edges of key ``u``
         (``w_e = 1/c_{v,r}`` when ``weighted`` — RGCN's per-relation mean
-        — else 1). Planned, this is ONE sparse matvec per direction;
-        under ``use_plans(False)`` it decomposes into the gather (+ weight
-        multiply) + scatter over ``keys.inverse``.
+        — else 1): ONE sparse matvec per direction.
         """
-        if plans_enabled():
-            return _apply_operator(self._aggregate_operator(x.dtype, weighted), x)
-        messages = gather_rows(x, self.src, plan=self.plan("src"))
-        if weighted:
-            messages = messages * Tensor(self.norm_for(messages.dtype))
-        return scatter_sum(
-            messages, None, len(self.keys.dst), plan=self.plan("inverse")
-        )
+        return _apply_operator(self._aggregate_operator(x.dtype, weighted), x)
 
     # -- per-edge messages (FiLM) ------------------------------------------
     def _edge_operator(self, dtype):
@@ -508,11 +474,7 @@ class RelationFusion:
     def weighted_scatter(self, messages: Tensor) -> Tensor:
         """Land per-edge ``messages`` on dst rows, ``1/c_{v,r}``-weighted.
 
-        The fused equivalent of ``messages * norm`` + ``scatter_sum`` —
-        one sparse matvec per direction when planned, the composition
-        under ``use_plans(False)``.
+        The fused equivalent of ``messages * norm`` + ``scatter_sum``:
+        one sparse matvec per direction.
         """
-        if plans_enabled():
-            return _apply_operator(self._edge_operator(messages.dtype), messages)
-        weighted = messages * Tensor(self.norm_for(messages.dtype))
-        return scatter_sum(weighted, None, self.num_nodes, plan=self.plan("dst"))
+        return _apply_operator(self._edge_operator(messages.dtype), messages)

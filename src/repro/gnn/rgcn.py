@@ -11,9 +11,9 @@ transforms second, ``sum_r (A_r x) W_r``, on the key table of a
 the per-relation mean of the source rows for each unique (relation,
 dst) key, then one :class:`~repro.nn.RelationLinear` GEMM per relation
 transforms those ``U <= min(E, R * N)`` rows and, in the same kernel,
-sums them onto their nodes. ``use_fused_relations(False)`` restores the
-per-relation gather → transform → ``scatter_mean`` loop — the
-differential baseline.
+sums them onto their nodes. The per-relation gather → transform →
+``scatter_mean`` loop is ``reference_rgcn`` in ``tests/reference.py``,
+the differential baseline.
 """
 
 from __future__ import annotations
@@ -22,12 +22,7 @@ import numpy as np
 
 from repro.gnn.message_passing import GraphContext
 from repro.nn import Linear, Module, RelationLinear
-from repro.tensor import (
-    Tensor,
-    fused_relations_enabled,
-    gather_rows,
-    scatter_mean,
-)
+from repro.tensor import Tensor
 
 
 class RGCNLayer(Module):
@@ -54,20 +49,10 @@ class RGCNLayer(Module):
                 f"context has {ctx.num_relations}"
             )
         out = self.self_loop(x)
-        if fused_relations_enabled():
-            fusion = ctx.relation_fusion(self.num_relations)
-            if fusion.num_edges:
-                aggregated = fusion.aggregate(x, weighted=True)
-                out = out + self.relation_linear.transform_keys(
-                    aggregated, fusion, land=True
-                )
-            return out
-        for relation in range(self.num_relations):
-            src, dst = ctx.relation_edges(relation)
-            if len(src) == 0:
-                continue
-            src_plan, dst_plan = ctx.relation_plans(relation)
-            transformed = self.relation_linear.single(x, relation)
-            messages = gather_rows(transformed, src, plan=src_plan)
-            out = out + scatter_mean(messages, dst, ctx.num_nodes, plan=dst_plan)
+        fusion = ctx.relation_fusion(self.num_relations)
+        if fusion.num_edges:
+            aggregated = fusion.aggregate(x, weighted=True)
+            out = out + self.relation_linear.transform_keys(
+                aggregated, fusion, land=True
+            )
         return out

@@ -2,7 +2,7 @@
 
 The relational GNN layers (RGCN, GGNN, FiLM) hold one stacked
 ``[R, D_in, D_out]`` weight instead of a ``ModuleList`` of per-relation
-``Linear`` modules. :class:`RelationLinear` applies it four ways:
+``Linear`` modules. :class:`RelationLinear` applies it two ways:
 
 - :meth:`transform_keys` — the relational hot path: transform the
   ``[U, D_in]`` per-key rows of a
@@ -13,12 +13,10 @@ The relational GNN layers (RGCN, GGNN, FiLM) hold one stacked
   first, so this is the only dense transform their messages pay;
 - :meth:`edge_messages` — per-edge transformed source rows in the
   fusion's partitioned edge order (cost ``E * D * O``), for terms that
-  do not aggregate linearly (FiLM's modulated messages);
-- :meth:`forward` — transform *all* nodes for *all* relations in one
-  batched matmul (``[R, N, D_out]`` out);
-- :meth:`single` — the per-relation path (slice one weight, transform
-  every node), kept as the differential-testing baseline behind
-  ``use_fused_relations(False)``.
+  do not aggregate linearly (FiLM's modulated messages).
+
+It has no ``forward``: both transforms need the fusion's relation
+partition.
 
 Weight initialisation draws R Glorot matrices from the rng in relation
 order — the exact stream the old per-relation ``ModuleList`` consumed,
@@ -31,12 +29,7 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.tensor import (
-    Tensor,
-    relation_gather_matmul,
-    relation_matmul,
-    relation_segment_matmul,
-)
+from repro.tensor import Tensor, relation_gather_matmul, relation_segment_matmul
 
 
 class RelationLinear(Module):
@@ -67,17 +60,6 @@ class RelationLinear(Module):
             )
         )
         self.bias = Parameter(init.zeros((num_relations, out_features))) if bias else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Stacked transform of every node: ``[R, N, out_features]``."""
-        return relation_matmul(x, self.weight, self.bias)
-
-    def single(self, x: Tensor, relation: int) -> Tensor:
-        """Per-relation transform of every node (the legacy loop path)."""
-        out = x @ self.weight[relation]
-        if self.bias is not None:
-            out = out + self.bias[relation]
-        return out
 
     def _check_fusion(self, fusion) -> None:
         if fusion.num_relations != self.num_relations:

@@ -62,7 +62,6 @@ from repro.tensor.ops import (
 from repro.tensor.scatter import (
     SegmentPlan,
     gather_rows,
-    plans_enabled,
     scatter_max,
     scatter_mean,
     scatter_min,
@@ -71,16 +70,12 @@ from repro.tensor.scatter import (
     scatter_sum,
     segment_counts,
     sparse_operator,
-    use_plans,
 )
 from repro.tensor.fused import (
     addmm,
-    fused_relations_enabled,
     linear_act,
     relation_gather_matmul,
-    relation_matmul,
     relation_segment_matmul,
-    use_fused_relations,
 )
 from repro.tensor.profiling import (
     OpProfile,
@@ -98,11 +93,8 @@ __all__ = [
     "set_default_dtype",
     "addmm",
     "linear_act",
-    "relation_matmul",
     "relation_gather_matmul",
     "relation_segment_matmul",
-    "fused_relations_enabled",
-    "use_fused_relations",
     "abs_",
     "concat",
     "dropout",
@@ -124,8 +116,6 @@ __all__ = [
     "SegmentPlan",
     "sparse_operator",
     "gather_rows",
-    "plans_enabled",
-    "use_plans",
     "scatter_max",
     "scatter_mean",
     "scatter_min",

@@ -8,9 +8,6 @@ add and the activation). The kernels here collapse those chains:
   closure (adopted by :class:`repro.nn.Linear`);
 - :func:`linear_act` — linear + activation fused, saving the
   pre-activation tensor and a closure (the MLP hot path);
-- :func:`relation_matmul` — a stacked ``[R, D_in, D_out]`` relation
-  weight applied to all nodes in one batched matmul, ``[R, N, D_out]``
-  out, single-einsum forward/backward;
 - :func:`relation_segment_matmul` — the relational transform: rows are
   partitioned into one *contiguous* run per relation and run ``r`` is
   multiplied by ``W_r``. No gather: forward, ``dW`` and ``dh`` are one
@@ -25,49 +22,22 @@ add and the activation). The kernels here collapse those chains:
   gathered rows ``x[index]``, for per-edge terms that do not aggregate
   linearly (FiLM's messages); the gather is recomputed in the backward.
 
-``use_fused_relations(False)`` forces the relational GNN layers back
-onto the per-relation loop — the differential-testing and benchmarking
-baseline.
+The per-relation loops these kernels replace are kept in
+``tests/reference.py`` as the differential baseline.
 """
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 
 from repro.tensor.profiling import profiled
-from repro.tensor.scatter import SegmentPlan, plans_enabled
+from repro.tensor.scatter import SegmentPlan
 from repro.tensor.tensor import Tensor, stable_sigmoid
-
-_FUSED_RELATIONS_ENABLED = True
 
 #: The per-relation GEMM of :func:`relation_segment_matmul` and
 #: :func:`relation_gather_matmul` (forward, ``dW`` and ``dh``), kept as a module attribute so regression tests can
 #: spy on exactly which row blocks get transformed.
 _block_gemm = np.matmul
-
-
-def fused_relations_enabled() -> bool:
-    """Whether relational layers run the batched/fused relation kernels."""
-    return _FUSED_RELATIONS_ENABLED
-
-
-@contextlib.contextmanager
-def use_fused_relations(enabled: bool = True):
-    """Force the fused relation path on/off inside the block.
-
-    ``use_fused_relations(False)`` restores the per-relation ``Linear``
-    loop inside RGCN/GGNN/FiLM — the baseline that parity tests and
-    ``benchmarks/bench_relations.py`` measure against.
-    """
-    global _FUSED_RELATIONS_ENABLED
-    previous = _FUSED_RELATIONS_ENABLED
-    _FUSED_RELATIONS_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _FUSED_RELATIONS_ENABLED = previous
 
 
 @profiled("addmm")
@@ -144,35 +114,6 @@ def linear_act(
     return Tensor._make(out, parents, backward)
 
 
-@profiled("relation_matmul")
-def relation_matmul(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """All-relations transform ``[N, D] x [R, D, O] -> [R, N, O]``.
-
-    One batched matmul replaces R separate ``Linear`` calls; the backward
-    is likewise two batched contractions (a tensordot for ``dx``, a
-    broadcast matmul for ``dW``).
-    """
-    if x.data.ndim != 2 or weight.data.ndim != 3:
-        raise ValueError(
-            f"relation_matmul expects [N, D] x [R, D, O], "
-            f"got {x.shape} x {weight.shape}"
-        )
-    data = np.matmul(x.data, weight.data)
-    if bias is not None:
-        data += bias.data[:, None, :]
-    parents = (x, weight) if bias is None else (x, weight, bias)
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(np.tensordot(grad, weight.data, axes=((0, 2), (0, 2))))
-        if weight.requires_grad:
-            weight._accumulate(np.matmul(x.data.T, grad))
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=1))
-
-    return Tensor._make(data, parents, backward)
-
-
 @profiled("relation_segment_matmul")
 def relation_segment_matmul(
     h: Tensor,
@@ -209,13 +150,7 @@ def relation_segment_matmul(
         rows[run] = _block_gemm(hd[run], wd[r])
         if bias is not None:
             rows[run] += bias.data[r]
-    if land is None:
-        out = rows
-    elif plans_enabled():
-        out = land.segment_sum(rows)
-    else:
-        out = np.zeros((land.dim_size, rows.shape[1]), dtype=rows.dtype)
-        np.add.at(out, land.index, rows)
+    out = rows if land is None else land.segment_sum(rows)
     del rows
     parents = (h, weight) if bias is None else (h, weight, bias)
 
@@ -275,7 +210,6 @@ def relation_gather_matmul(
         if bias is not None:
             out[run] += bias.data[r]
     parents = (x, weight) if bias is None else (x, weight, bias)
-    planned = plan is not None and plans_enabled()
 
     def backward(grad: np.ndarray) -> None:
         if weight.requires_grad:
@@ -292,7 +226,7 @@ def relation_gather_matmul(
             gathered = np.empty((num_rows, xd.shape[1]), dtype=grad.dtype)
             for r, run in runs:
                 gathered[run] = _block_gemm(grad[run], wd[r].T)
-            if planned:
+            if plan is not None:
                 x._accumulate(plan.segment_sum(gathered))
             else:
                 gx = np.zeros_like(xd)

@@ -1,10 +1,8 @@
 """Per-op profiling for the tensor engine, off by default.
 
-``use_profiling()`` mirrors the engine's other toggles
-(:func:`~repro.tensor.scatter.use_plans`,
-:func:`~repro.tensor.fused.use_fused_relations`): a module-global flag
-flipped by a context manager. While active, two kinds of telemetry
-accumulate into an :class:`OpProfile`:
+``use_profiling()`` flips a module-global flag inside a context
+manager. While active, two kinds of telemetry accumulate into an
+:class:`OpProfile`:
 
 - **tape-op counts** — :meth:`Tensor._make` bumps a counter named after
   the op's backward closure ("Tensor.__matmul__", "scatter_sum",

@@ -7,10 +7,11 @@ them need no hand-written backward passes.
 
 Two kernel families back every operation:
 
-- the **fallback** path uses unbuffered ``np.add.at`` / ``ufunc.at``
-  calls, which accept any index vector but process one element at a
-  time;
-- the **planned** path takes a :class:`SegmentPlan` — one stable argsort
+- **planless** calls (``plan=None``) use unbuffered ``np.add.at`` /
+  ``ufunc.at`` calls, which accept any index vector but process one
+  element at a time — the path for one-off reductions such as an
+  embedding lookup's backward or U-Net's unpooling scatter;
+- **planned** calls take a :class:`SegmentPlan` — one stable argsort
   of the index vector plus the segment boundaries of the sorted copy.
   Segment sums (scatter_sum/mean/softmax and every gather backward) run
   as one scipy CSR product ``S @ values``; segment max/min run one
@@ -21,9 +22,8 @@ Two kernel families back every operation:
 A plan is profitable exactly when the same index vector is reduced many
 times (every layer of every forward/backward over a batch), which is why
 :class:`~repro.gnn.message_passing.GraphContext` builds plans once per
-batch topology and threads them through the layers. Both paths produce
-the same values and gradients; ``use_plans(False)`` forces the fallback
-kernels for benchmarking and differential testing.
+batch topology and threads them through the layers. A passed plan is
+always used; both families produce the same values and gradients.
 
 :func:`sparse_operator` builds the fused gather+weight+scatter operator
 (``out = S @ X`` with a lazily built adjoint) that GCN propagation and
@@ -38,33 +38,11 @@ path validates per call unless the caller passes ``validated=True``
 
 from __future__ import annotations
 
-import contextlib
-
 import numpy as np
 from scipy import sparse
 
 from repro.tensor.profiling import profiled
 from repro.tensor.tensor import Tensor
-
-_PLAN_KERNELS_ENABLED = True
-
-
-def plans_enabled() -> bool:
-    """Whether planned (sorted ``reduceat``) kernels are currently in use."""
-    return _PLAN_KERNELS_ENABLED
-
-
-@contextlib.contextmanager
-def use_plans(enabled: bool = True):
-    """Force planned kernels on/off inside the block (benchmarks, tests)."""
-    global _PLAN_KERNELS_ENABLED
-    previous = _PLAN_KERNELS_ENABLED
-    _PLAN_KERNELS_ENABLED = bool(enabled)
-    try:
-        yield
-    finally:
-        _PLAN_KERNELS_ENABLED = previous
-
 
 def _check_index(
     index: np.ndarray, size: int, dim_size: int, validated: bool = False
@@ -268,14 +246,11 @@ def gather_rows(
             )
         _spot_check_plan_index(index, plan)
     data = x.data[index]
-    # The kernel family is pinned at forward time so a backward() running
-    # after a use_plans() block still matches its forward.
-    planned = plan is not None and _PLAN_KERNELS_ENABLED
 
     def backward(grad: np.ndarray) -> None:
         if not x.requires_grad:
             return
-        if planned:
+        if plan is not None:
             x._accumulate(plan.segment_sum(grad))
         else:
             out = np.zeros_like(x.data)
@@ -295,7 +270,7 @@ def scatter_sum(
 ) -> Tensor:
     """Sum rows of ``src`` into ``dim_size`` output rows keyed by ``index``."""
     index = _resolve_index(index, plan, len(src.data), dim_size, validated)
-    if plan is not None and _PLAN_KERNELS_ENABLED:
+    if plan is not None:
         data = plan.segment_sum(src.data)
     else:
         data = np.zeros((dim_size,) + src.shape[1:], dtype=src.data.dtype)
@@ -334,10 +309,9 @@ def _scatter_extremum(
 ) -> Tensor:
     index = _resolve_index(index, plan, len(src.data), dim_size, validated)
     ufunc = np.maximum if mode == "max" else np.minimum
-    planned = plan is not None and _PLAN_KERNELS_ENABLED
-    if planned:
+    if plan is not None:
         # Empty segments never appear in plan.nonempty, so the 0 fill
-        # survives — the same PyG convention as the fallback below.
+        # survives — the same PyG convention as the planless branch below.
         data = plan.segment_reduce(src.data, ufunc, 0.0)
     else:
         fill = -np.inf if mode == "max" else np.inf
@@ -352,7 +326,7 @@ def _scatter_extremum(
         if not src.requires_grad:
             return
         winners = (src.data == data[index]).astype(src.data.dtype)
-        if planned:
+        if plan is not None:
             ties = plan.segment_sum(winners)
         else:
             ties = np.zeros_like(data)
@@ -417,10 +391,7 @@ def scatter_softmax(
     stabilisation that leaves gradients identical because softmax is
     shift-invariant.
     """
-    if plan is None:
-        index = _check_index(index, len(src.data), dim_size, validated)
-    else:
-        index = _resolve_index(index, plan, len(src.data), dim_size, validated)
+    index = _resolve_index(index, plan, len(src.data), dim_size, validated)
     seg_max = _scatter_extremum(
         src.detach(), index, dim_size, "max", plan, validated=True
     )

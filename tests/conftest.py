@@ -1,12 +1,16 @@
 """Shared fixtures: tiny cached datasets and sample programs.
 
 Dataset construction (compile + HLS) is deterministic, so session-scoped
-fixtures keep the suite fast while every test sees identical data.
+fixtures keep the suite fast while every test sees identical data. An
+autouse fixture fails any test that leaves a serving worker thread
+running.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -54,6 +58,31 @@ def pytest_configure(config):
         from repro.tensor import set_default_dtype
 
         set_default_dtype(np.dtype(dtype))
+
+
+#: Seconds a test's leftover serve workers get to finish stopping.
+_WORKER_JOIN_GRACE_S = 2.0
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_serve_workers():
+    """Fail a test that leaves a ``serve-worker-*`` thread running.
+
+    Threads already alive when the test starts are not its own. Its
+    leftover workers share one join grace before they count as leaked.
+    """
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + _WORKER_JOIN_GRACE_S
+    leaked = []
+    for thread in threading.enumerate():
+        if thread in before or not thread.name.startswith("serve-worker-"):
+            continue
+        thread.join(max(0.0, deadline - time.monotonic()))
+        if thread.is_alive():
+            leaked.append(thread.name)
+    if leaked:
+        pytest.fail(f"test leaked serve worker threads: {sorted(leaked)}")
 
 
 @pytest.fixture(scope="session")

@@ -22,14 +22,25 @@ lives here, so tests can compare the two with ``==``.
   :func:`reference_film` — the per-relation message-passing loops of the
   relational layers: per relation, transform every node, gather the
   source rows, and scatter (mean or sum) into the targets, with the
-  unplanned ``np.add.at`` kernels. The layers now aggregate once per
-  unique (relation, dst) key and transform those rows; floating-point
-  sums are reordered, so tests compare within tolerances, not ``==``.
+  unplanned ``np.add.at`` kernels (or, given a :class:`RelationPlans`,
+  with per-relation :class:`~repro.tensor.SegmentPlan` objects). The
+  layers now aggregate once per unique
+  (relation, dst) key and transform those rows; floating-point sums are
+  reordered, so tests compare within tolerances, not ``==``.
+- :class:`ReferenceContext` and :class:`ReferenceFusion` — a
+  :class:`~repro.gnn.message_passing.GraphContext` without scatter
+  plans, whose GCN propagation and relational aggregation are the
+  gather + weight multiply + ``scatter_sum`` compositions the sparse
+  operators replaced. Every model of the zoo runs on it unchanged;
+  :class:`ReferenceContexts` swaps it in for a model's own contexts.
+- :func:`reference_segment_op` — each scatter op as a per-segment numpy
+  loop with its analytic gradient, independent of both kernel families.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +66,7 @@ from repro.frontend.ast_ import (
 )
 from repro.frontend.ctypes_ import CArray, CInt, CType
 from repro.frontend.parser import ParseError
+from repro.gnn.message_passing import GraphContext, RelationFusion
 from repro.hls.binding import bind_function
 from repro.hls.flow import HLSResult
 from repro.hls.fsm import fsm_cost
@@ -65,7 +77,7 @@ from repro.hls.report import synthesis_report
 from repro.hls.resource_library import DEFAULT_DEVICE
 from repro.hls.scheduling import schedule_function
 from repro.ir.values import Instruction
-from repro.tensor import gather_rows, scatter_mean, scatter_sum
+from repro.tensor import SegmentPlan, Tensor, gather_rows, scatter_mean, scatter_sum
 
 
 def reference_pipeline_registers(function, schedule, unroll=None):
@@ -565,29 +577,132 @@ def reference_parse_c_source(source: str, name: str | None = None) -> Program:
     return _Parser(_tokenize(source)).parse_program(name)
 
 
-def reference_rgcn(layer, x, ctx):
+#: ``eps`` of :func:`repro.tensor.scatter_std` and the denominator guard of
+#: :func:`repro.tensor.scatter_softmax`.
+_STD_EPS = 1e-5
+_SOFTMAX_GUARD = 1e-16
+
+
+def _row_sum(rows: np.ndarray) -> np.ndarray:
+    """Sum of ``rows`` added one at a time, in row order."""
+    total = np.zeros(rows.shape[1:], dtype=rows.dtype)
+    for row in rows:
+        total = total + row
+    return total
+
+
+def reference_segment_op(name, values, index, dim_size, grad):
+    """``(out, values_grad)`` of scatter op ``name`` as a per-segment loop.
+
+    ``name`` is one of ``sum``, ``mean``, ``max``, ``min``, ``std`` and
+    ``softmax``; ``grad`` is the upstream gradient, shaped like the
+    output. Each segment's rows are summed one at a time in index order
+    and differentiated by hand, so the result depends on neither the
+    planned nor the planless kernels. Empty segments give 0 (``std``:
+    ``sqrt(eps)``); max/min split a segment's gradient evenly between
+    tied winners.
+    """
+    values = np.asarray(values)
+    index = np.asarray(index)
+    values_grad = np.zeros_like(values)
+    if name == "softmax":
+        out = np.zeros_like(values)
+    else:
+        out = np.zeros((dim_size,) + values.shape[1:], dtype=values.dtype)
+    for segment in range(dim_size):
+        rows = np.flatnonzero(index == segment)
+        x = values[rows]
+        count = max(len(rows), 1)
+        if name == "softmax":
+            if not len(rows):
+                continue
+            numer = np.exp(x - x.max(axis=0))
+            denom = _row_sum(numer) + _SOFTMAX_GUARD
+            out[rows] = numer / denom
+            g = grad[rows]
+            numer_grad = g / denom - _row_sum(g * numer / (denom * denom))
+            values_grad[rows] = numer_grad * numer
+            continue
+        g = grad[segment]
+        if name == "sum":
+            out[segment] = _row_sum(x)
+            values_grad[rows] = g
+        elif name == "mean":
+            out[segment] = _row_sum(x) / count
+            values_grad[rows] = g / count
+        elif name in ("max", "min"):
+            if not len(rows):
+                continue
+            extremum = x.max(axis=0) if name == "max" else x.min(axis=0)
+            out[segment] = extremum
+            winners = (x == extremum).astype(values.dtype)
+            values_grad[rows] = g * winners / np.maximum(winners.sum(axis=0), 1.0)
+        elif name == "std":
+            mean = _row_sum(x) / count
+            variance = _row_sum(x * x) / count - mean * mean
+            out[segment] = np.sqrt(np.maximum(variance, 0.0) + _STD_EPS)
+            variance_grad = g * 0.5 / out[segment] * (variance > 0)
+            values_grad[rows] = (2.0 * x - 2.0 * mean) * variance_grad / count
+        else:
+            raise ValueError(f"unknown scatter op '{name}'")
+    return out, values_grad
+
+
+class RelationPlans:
+    """Per-relation ``(src_plan, dst_plan)``, built once per (context,
+    relation).
+
+    A relation's edge slice is dst-sorted by the context's (relation,
+    dst) partition, so its dst plan skips the argsort.
+    """
+
+    def __init__(self):
+        self._plans = weakref.WeakKeyDictionary()
+
+    def __call__(self, ctx, relation):
+        plans = self._plans.setdefault(ctx, {})
+        if relation not in plans:
+            src, dst = ctx.relation_edges(relation)
+            plans[relation] = (
+                SegmentPlan(src, ctx.num_nodes, validate=False),
+                SegmentPlan(dst, ctx.num_nodes, validate=False, assume_sorted=True),
+            )
+        return plans[relation]
+
+
+def _relation_loop(ctx, relations, plans):
+    """``(relation, src, dst, src_plan, dst_plan)`` per non-empty relation."""
+    for relation in range(relations):
+        src, dst = ctx.relation_edges(relation)
+        if len(src):
+            pair = (None, None) if plans is None else plans(ctx, relation)
+            yield (relation, src, dst) + pair
+
+
+def reference_rgcn(layer, x, ctx, plans=None):
     """RGCN as the per-relation loop: ``W_0 x + sum_r mean_r(x[src] W_r)``."""
     out = layer.self_loop(x)
     weight = layer.relation_linear.weight
-    for relation in range(layer.num_relations):
-        src, dst = ctx.relation_edges(relation)
-        if len(src) == 0:
-            continue
-        messages = gather_rows(x @ weight[relation], src)
-        out = out + scatter_mean(messages, dst, ctx.num_nodes)
+    for relation, src, dst, src_plan, dst_plan in _relation_loop(
+        ctx, layer.num_relations, plans
+    ):
+        messages = gather_rows(x @ weight[relation], src, plan=src_plan)
+        out = out + scatter_mean(messages, dst, ctx.num_nodes, plan=dst_plan)
     return out
 
 
-def reference_ggnn(layer, x, ctx):
+def reference_ggnn(layer, x, ctx, plans=None):
     """GGNN as the per-relation message loop plus the GRU update."""
     weight = layer.message_linear.weight
     message = None
-    for relation in range(min(layer.num_relations, ctx.num_relations)):
-        src, dst = ctx.relation_edges(relation)
-        if len(src) == 0:
-            continue
+    for relation, src, dst, src_plan, dst_plan in _relation_loop(
+        ctx, min(layer.num_relations, ctx.num_relations), plans
+    ):
         contribution = scatter_sum(
-            gather_rows(x @ weight[relation], src), dst, ctx.num_nodes
+            gather_rows(x @ weight[relation], src, plan=src_plan),
+            dst,
+            ctx.num_nodes,
+            plan=dst_plan,
         )
         message = contribution if message is None else message + contribution
     if message is None:
@@ -598,19 +713,114 @@ def reference_ggnn(layer, x, ctx):
     return x * (1.0 - update) + candidate * update
 
 
-def reference_film(layer, x, ctx):
+def reference_film(layer, x, ctx, plans=None):
     """GNN-FiLM as the per-relation loop: the generator runs on every node
     and is gathered at each edge's target."""
     out = layer._modulate(layer.self_film(x), layer.self_linear(x))
     weight = layer.message_linear.weight
     generator = layer.film_generator
-    for relation in range(min(layer.num_relations, ctx.num_relations)):
-        src, dst = ctx.relation_edges(relation)
-        if len(src) == 0:
-            continue
-        value = gather_rows(x @ weight[relation], src)
+    for relation, src, dst, src_plan, dst_plan in _relation_loop(
+        ctx, min(layer.num_relations, ctx.num_relations), plans
+    ):
+        value = gather_rows(x @ weight[relation], src, plan=src_plan)
         film = gather_rows(
-            x @ generator.weight[relation] + generator.bias[relation], dst
+            x @ generator.weight[relation] + generator.bias[relation],
+            dst,
+            plan=dst_plan,
         )
-        out = out + scatter_mean(layer._modulate(film, value), dst, ctx.num_nodes)
+        out = out + scatter_mean(
+            layer._modulate(film, value), dst, ctx.num_nodes, plan=dst_plan
+        )
     return out
+
+
+class ReferenceFusion(RelationFusion):
+    """A :class:`RelationFusion` whose aggregations are compositions.
+
+    ``aggregate`` gathers the source rows, weights them and scatter-sums
+    them onto the keys; ``weighted_scatter`` weights and scatter-sums
+    per-edge messages onto their targets, all with planless kernels. The
+    one plan kept is ``"key_dst"``: :func:`~repro.tensor.relation_segment_matmul`
+    lands its rows only through a plan. Its csr segment sum adds each
+    node's key rows in index order, the order ``np.add.at`` uses.
+    """
+
+    def plan(self, name):
+        return super().plan(name) if name == "key_dst" else None
+
+    def aggregate(self, x, weighted=False):
+        messages = gather_rows(x, self.src)
+        if weighted:
+            messages = messages * Tensor(self.norm_for(messages.dtype))
+        return scatter_sum(messages, self.keys.inverse, len(self.keys.dst))
+
+    def weighted_scatter(self, messages):
+        weighted = messages * Tensor(self.norm_for(messages.dtype))
+        return scatter_sum(weighted, self.dst, self.num_nodes)
+
+
+class ReferenceContext(GraphContext):
+    """A :class:`GraphContext` with no scatter plans and no sparse operators.
+
+    Layers thread ``plan=None`` through every scatter op, GCN propagation
+    is gather + norm multiply + ``scatter_sum``, and the relational
+    layers get a :class:`ReferenceFusion`. U-Net's pooled levels are
+    reference contexts too.
+    """
+
+    sym_dst_plan = sym_src_plan = gcn_dst_plan = gcn_src_plan = pool_plan = None
+
+    @classmethod
+    def of(cls, ctx: GraphContext) -> "ReferenceContext":
+        """The reference twin of ``ctx`` (same topology and degrees)."""
+        return cls(
+            edge_index=ctx.edge_index,
+            edge_type=ctx.edge_type,
+            num_nodes=ctx.num_nodes,
+            batch=ctx.batch,
+            num_graphs=ctx.num_graphs,
+            num_edge_types=ctx.num_edge_types,
+            sym_degree=ctx.sym_degree,
+        )
+
+    def relation_fusion(self, num_relations):
+        fusion = self._relation_fusions.get(num_relations)
+        if fusion is None:
+            fusion = self._relation_fusions[num_relations] = ReferenceFusion(
+                self, num_relations
+            )
+        return fusion
+
+    def propagate_gcn(self, x):
+        messages = gather_rows(x, self.gcn_src) * Tensor(self.gcn_norm)
+        return scatter_sum(messages, self.gcn_dst, self.num_nodes)
+
+    def subgraph(self, keep):
+        return ReferenceContext.of(super().subgraph(keep))
+
+
+class ReferenceContexts:
+    """Runs a model (a regressor or node classifier) on reference contexts.
+
+    Inside ``with``, ``model.encoder.context_for`` returns the
+    :class:`ReferenceContext` of the batch's usual context. Each one is
+    built once and reused by later blocks, as the usual context is.
+    """
+
+    def __init__(self, model):
+        self.encoder = model.encoder
+        self._contexts = weakref.WeakKeyDictionary()
+
+    def context_for(self, batch):
+        ctx = GraphContext.from_batch(batch, self.encoder.num_edge_types)
+        reference = self._contexts.get(ctx)
+        if reference is None:
+            reference = self._contexts[ctx] = ReferenceContext.of(ctx)
+        return reference
+
+    def __enter__(self):
+        self.encoder.context_for = self.context_for
+        return self
+
+    def __exit__(self, *exc_info):
+        del self.encoder.context_for

@@ -2,12 +2,14 @@
 
 Four contracts:
 
-1. the fused kernels (``addmm``, ``linear_act``, ``relation_matmul``,
-   ``relation_gather_matmul``) match their unfused compositions in
-   forward values and gradients, and pass float64 gradcheck;
-2. the batched :class:`~repro.nn.RelationLinear` path through
-   RGCN/GGNN/FiLM reproduces the per-relation ``Linear`` loop
-   (``use_fused_relations(False)``) — forward and all gradients;
+1. the fused kernels (``addmm``, ``linear_act``,
+   ``relation_segment_matmul``, ``relation_gather_matmul``) match their
+   unfused compositions in forward values and gradients, and pass
+   float64 gradcheck;
+2. the stacked :class:`~repro.nn.RelationLinear` weight reproduces R
+   per-relation ``Linear`` layers — forward and all gradients — and
+   transforms only the rows a relation owns (the layer-level parity
+   with the per-relation loops is ``tests/test_relation_parity.py``);
 3. the dtype policy: float32 end-to-end by default, explicit float64
    respected, ``default_dtype``/``set_default_dtype`` scoping, and
    dtype-preserving artifact round-trips;
@@ -29,17 +31,17 @@ from repro.nn import MLP, Linear, RelationLinear
 from repro.optim import clip_grad_norm
 from repro.serve import load_predictor, save_predictor
 from repro.tensor import (
+    SegmentPlan,
     Tensor,
     addmm,
+    concat,
     default_dtype,
-    fused_relations_enabled,
     get_default_dtype,
     gradcheck,
     linear_act,
     relation_gather_matmul,
-    relation_matmul,
+    relation_segment_matmul,
     set_default_dtype,
-    use_fused_relations,
 )
 
 DIM = 6
@@ -147,24 +149,41 @@ class TestLinearAct:
         np.testing.assert_allclose(mlp(x).data, manual.data, atol=1e-12)
 
 
-class TestRelationMatmul:
+class TestRelationSegmentMatmul:
+    #: Row runs of 3 relations over 7 rows; relation 1 owns no rows.
+    STARTS, ENDS = np.array([0, 4, 4]), np.array([4, 4, 7])
+
     def test_matches_per_relation_loop(self, rng):
-        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 3, 2)), requires_grad=True)
-        out = relation_matmul(x, w)
-        assert out.shape == (4, 5, 2)
-        for r in range(4):
-            np.testing.assert_allclose(out.data[r], x.data @ w.data[r], atol=1e-12)
+        h = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        out = relation_segment_matmul(h, w, self.STARTS, self.ENDS, bias=b)
+        assert out.shape == (7, 2)
+        for r, (s, e) in enumerate(zip(self.STARTS, self.ENDS)):
+            np.testing.assert_allclose(
+                out.data[s:e], h.data[s:e] @ w.data[r] + b.data[r], atol=1e-12
+            )
 
     def test_gradcheck(self, rng):
-        x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        w = Tensor(rng.normal(size=(2, 3, 2)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-        assert gradcheck(lambda: relation_matmul(x, w, b), [x, w, b])
+        h = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3, 2)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        land = SegmentPlan(np.array([0, 2, 2, 1, 0, 1, 2]), 3)
+        for plan in (None, land):
+            assert gradcheck(
+                lambda plan=plan: relation_segment_matmul(
+                    h, w, self.STARTS, self.ENDS, bias=b, land=plan
+                ),
+                [h, w, b],
+            )
 
-    def test_shape_validation(self, rng):
-        with pytest.raises(ValueError):
-            relation_matmul(Tensor(np.ones((2, 3, 1))), Tensor(np.ones((2, 3, 2))))
+    def test_uncovered_relations_get_zero_grad(self, rng):
+        """The weight may stack more relations than the runs cover."""
+        h = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(5, 3, 2)), requires_grad=True)
+        relation_segment_matmul(h, w, self.STARTS, self.ENDS).sum().backward()
+        np.testing.assert_array_equal(w.grad[[1, 3, 4]], 0.0)
+        assert np.abs(w.grad[[0, 2]]).sum() > 0
 
 
 class TestRelationGatherMatmul:
@@ -212,45 +231,40 @@ class TestRelationGatherMatmul:
 
 class TestRelationLinear:
     def test_batched_matches_per_relation_linear_loop(self, rng):
-        """The stacked weight reproduces R independent Linear layers."""
-        rel = RelationLinear(DIM, DIM, 3, rng=np.random.default_rng(7))
-        x = Tensor(rng.normal(size=(5, DIM)), requires_grad=True)
-        stacked = rel(x)
+        """The stacked weight reproduces R independent Linear layers on
+        the key rows each relation owns."""
+        ctx = make_context()
+        fusion = ctx.relation_fusion(RELATIONS)
+        keys = fusion.keys
+        rel = RelationLinear(DIM, 4, RELATIONS, bias=True, rng=np.random.default_rng(7))
+        rel.bias.data[...] = rng.normal(size=rel.bias.shape)
+        h = Tensor(rng.normal(size=(len(keys.dst), DIM)), requires_grad=True)
+        stacked = rel.transform_keys(h, fusion)
         stacked.backward(np.ones_like(stacked.data))
-        batched_wgrad = rel.weight.grad.copy()
-        batched_xgrad = x.grad.copy()
+        batched_grads = (h.grad.copy(), rel.weight.grad.copy(), rel.bias.grad.copy())
 
-        x.zero_grad()
-        loops = []
-        for r in range(3):
-            linear = Linear(DIM, DIM, bias=False, rng=rng)
+        h.zero_grad()
+        for r, (s, e) in enumerate(zip(keys.starts, keys.ends)):
+            linear = Linear(DIM, 4, rng=rng)
             linear.weight.data[...] = rel.weight.data[r]
-            loops.append(linear)
-        outs = [linear(x) for linear in loops]
-        for out in outs:
+            linear.bias.data[...] = rel.bias.data[r]
+            out = linear(h[s:e])
             out.backward(np.ones_like(out.data))
-        for r, (linear, out) in enumerate(zip(loops, outs)):
-            np.testing.assert_allclose(stacked.data[r], out.data, atol=1e-12)
-            np.testing.assert_allclose(batched_wgrad[r], linear.weight.grad, atol=1e-12)
-        np.testing.assert_allclose(batched_xgrad, x.grad, atol=1e-12)
-
-    def test_single_matches_stacked_slice(self, rng):
-        rel = RelationLinear(DIM, 4, 3, bias=True, rng=np.random.default_rng(2))
-        x = Tensor(rng.normal(size=(5, DIM)))
-        stacked = rel(x)
-        for r in range(3):
-            np.testing.assert_allclose(
-                rel.single(x, r).data, stacked.data[r], atol=1e-12
-            )
+            np.testing.assert_allclose(stacked.data[s:e], out.data, atol=1e-12)
+            if e > s:
+                np.testing.assert_allclose(
+                    batched_grads[1][r], linear.weight.grad, atol=1e-12
+                )
+                np.testing.assert_allclose(
+                    batched_grads[2][r], linear.bias.grad, atol=1e-12
+                )
+        np.testing.assert_allclose(batched_grads[0], h.grad, atol=1e-12)
 
     def test_edge_messages_block_equals_stacked(self, rng):
         ctx = make_context()
         fusion = ctx.relation_fusion(RELATIONS)
         rel = RelationLinear(DIM, 4, RELATIONS, rng=np.random.default_rng(3))
         x = Tensor(rng.normal(size=(ctx.num_nodes, DIM)), requires_grad=True)
-        rel_ids = np.repeat(
-            np.arange(len(fusion.starts)), fusion.ends - fusion.starts
-        )
         results = {}
         for path in ("block", "stacked"):
             x.zero_grad()
@@ -258,7 +272,14 @@ class TestRelationLinear:
             if path == "block":
                 out = rel.edge_messages(x, fusion)
             else:
-                out = rel(x)[rel_ids, fusion.src]
+                # Every node transformed by every relation, then each
+                # relation's source rows gathered, in partition order.
+                out = concat(
+                    [
+                        (x @ rel.weight[r])[fusion.src[s:e]]
+                        for r, (s, e) in enumerate(zip(fusion.starts, fusion.ends))
+                    ]
+                )
             out.backward(np.ones_like(out.data))
             results[path] = (out.data, x.grad.copy(), rel.weight.grad.copy())
         for a, b in zip(results["block"], results["stacked"]):
@@ -273,7 +294,7 @@ class TestRelationLinear:
         # to the edges by the key table's inverse index.
         keys = fusion.keys
         out = rel.transform_keys(x[keys.dst], fusion)[keys.inverse]
-        stacked = rel(x).data
+        stacked = np.stack([x.data @ w for w in rel.weight.data])
         rel_ids = np.repeat(
             np.arange(len(fusion.starts)), fusion.ends - fusion.starts
         )
@@ -328,62 +349,6 @@ class TestBlockPathTransformsOnlyGatheredRows:
         layer(Tensor(rng.normal(size=(50, DIM))), ctx)
         assert calls, "fused RGCN should route through the block kernel"
         assert all(shape[0] < 50 for shape in calls)
-
-
-@pytest.mark.parametrize("name", ["rgcn", "ggnn", "film"])
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_layer_fused_matches_relation_loop(name, dtype, rng):
-    """Batched relation path == per-relation Linear loop, fwd + grads.
-
-    float64 pins near-exact agreement; float32 (the production policy)
-    agrees within summation-order noise.
-    """
-    tol = {"atol": 1e-10, "rtol": 1e-8} if dtype == np.float64 else {
-        "atol": 1e-4, "rtol": 1e-3
-    }
-    with default_dtype(dtype):
-        ctx = make_context(num_nodes=9, num_edges=20)
-        layer = build_layer(name, DIM, DIM, RELATIONS, np.random.default_rng(1))
-        x_data = rng.normal(size=(9, DIM)).astype(dtype)
-        results = {}
-        for mode in ("fused", "loop"):
-            x = Tensor(x_data.copy(), requires_grad=True)
-            layer.zero_grad()
-            with use_fused_relations(mode == "fused"):
-                assert fused_relations_enabled() == (mode == "fused")
-                out = layer(x, ctx)
-                out.sum().backward()
-            results[mode] = (
-                out.data,
-                x.grad,
-                {k: None if p.grad is None else p.grad.copy()
-                 for k, p in layer.named_parameters()},
-            )
-    np.testing.assert_allclose(results["fused"][0], results["loop"][0], **tol)
-    np.testing.assert_allclose(results["fused"][1], results["loop"][1], **tol)
-    fused_grads, loop_grads = results["fused"][2], results["loop"][2]
-    assert fused_grads.keys() == loop_grads.keys()
-    for key in fused_grads:
-        a, b = fused_grads[key], loop_grads[key]
-        if a is None or b is None:
-            # the batched kernel emits a (zero) grad for edge-less
-            # relations where the loop skips them entirely
-            assert b is None or not np.abs(b).sum(), key
-            continue
-        np.testing.assert_allclose(a, b, err_msg=key, **tol)
-
-
-@pytest.mark.parametrize("name", ["ggnn", "film"])
-def test_layer_with_more_relations_than_context(name, rng):
-    """Layers built for more relations than the batch carries still agree."""
-    ctx = make_context(num_edge_types=2)  # 4 direction-aware relations
-    layer = build_layer(name, DIM, DIM, RELATIONS, np.random.default_rng(4))
-    x = Tensor(rng.normal(size=(ctx.num_nodes, DIM)))
-    with use_fused_relations(True):
-        fused_out = layer(x, ctx)
-    with use_fused_relations(False):
-        loop_out = layer(x, ctx)
-    np.testing.assert_allclose(fused_out.data, loop_out.data, atol=1e-5, rtol=1e-5)
 
 
 def test_fusion_cached_per_context_depth():

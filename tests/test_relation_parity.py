@@ -9,16 +9,14 @@ Three contracts:
    and ``U <= min(E, R * N)``;
 2. forward values and every gradient of rgcn/ggnn/film match the
    per-relation loops of ``tests/reference.py`` — float64 near-exactly,
-   float32 within rtol 5e-3 / atol 1e-4 — with the csr kernels and
-   under ``use_plans(False)``;
+   float32 within rtol 5e-3 / atol 1e-4 — on a production context and
+   on the planless reference context;
 3. the per-relation GEMMs run on exactly the unique-dst rows, landing
    them on their nodes matches a plain segment sum, and the kernels
    show up by name in an op profile and its report.
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 import pytest
@@ -27,8 +25,14 @@ import repro.tensor.fused as fused
 from repro.gnn import GraphContext, build_layer
 from repro.obs import RunLedger, load_run
 from repro.obs.report import render_report
-from repro.tensor import Tensor, default_dtype, use_plans, use_profiling
-from tests.reference import reference_film, reference_ggnn, reference_rgcn
+from repro.tensor import Tensor, default_dtype, use_profiling
+from tests.reference import (
+    ReferenceContext,
+    RelationPlans,
+    reference_film,
+    reference_ggnn,
+    reference_rgcn,
+)
 
 DIM = 6
 RELATIONS = 8  # 4 edge types x 2 directions
@@ -37,13 +41,14 @@ TOLERANCES = {
     np.float64: {"rtol": 1e-8, "atol": 1e-10},
     np.float32: {"rtol": 5e-3, "atol": 1e-4},
 }
-#: The csr kernels, plus the unplanned kernels.
+#: A production context (csr plans, sparse operators), and the planless
+#: reference context.
 MODES = ("csr", "no-plans")
 
 
-def make_context(num_nodes=9, num_edges=30, num_edge_types=4, seed=0):
+def make_context(num_nodes=9, num_edges=30, num_edge_types=4, seed=0, mode="csr"):
     rng = np.random.default_rng(seed)
-    return GraphContext(
+    ctx = GraphContext(
         edge_index=np.stack(
             [rng.integers(0, num_nodes, num_edges), rng.integers(0, num_nodes, num_edges)]
         ),
@@ -53,10 +58,7 @@ def make_context(num_nodes=9, num_edges=30, num_edge_types=4, seed=0):
         num_graphs=1,
         num_edge_types=num_edge_types,
     )
-
-
-def run_mode(mode: str):
-    return use_plans(False) if mode == "no-plans" else contextlib.nullcontext()
+    return ReferenceContext.of(ctx) if mode == "no-plans" else ctx
 
 
 def unique_dst_counts(ctx, relations):
@@ -172,11 +174,10 @@ def forward_backward(layer, x_data, run):
 def test_layer_matches_reference(name, num_edge_types, dtype, mode, rng):
     tol = TOLERANCES[dtype]
     with default_dtype(dtype):
-        ctx = make_context(num_edge_types=num_edge_types)
+        ctx = make_context(num_edge_types=num_edge_types, mode=mode)
         layer = build_layer(name, DIM, DIM, RELATIONS, np.random.default_rng(1))
         x_data = rng.normal(size=(ctx.num_nodes, DIM)).astype(dtype)
-        with run_mode(mode):
-            got = forward_backward(layer, x_data, lambda x: layer(x, ctx))
+        got = forward_backward(layer, x_data, lambda x: layer(x, ctx))
         expected = forward_backward(
             layer, x_data, lambda x: REFERENCES[name](layer, x, ctx)
         )
@@ -186,6 +187,28 @@ def test_layer_matches_reference(name, num_edge_types, dtype, mode, rng):
     assert got[2].keys() == expected[2].keys()
     for key in got[2]:
         np.testing.assert_allclose(got[2][key], expected[2][key], err_msg=key, **tol)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCES))
+def test_planned_reference_loop_matches_planless(name, rng):
+    """The loops with per-relation scatter plans (the ``loop_f64`` leg of
+    ``benchmarks/bench_relations.py``) compute what the planless loops do."""
+    plans = RelationPlans()
+    with default_dtype(np.float64):
+        ctx = make_context()
+        layer = build_layer(name, DIM, DIM, RELATIONS, np.random.default_rng(4))
+        x_data = rng.normal(size=(ctx.num_nodes, DIM))
+        reference = REFERENCES[name]
+        planned = forward_backward(
+            layer, x_data, lambda x: reference(layer, x, ctx, plans=plans)
+        )
+        planless = forward_backward(layer, x_data, lambda x: reference(layer, x, ctx))
+    np.testing.assert_allclose(planned[0], planless[0], rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(planned[1], planless[1], rtol=1e-12, atol=1e-14)
+    for key in planned[2]:
+        np.testing.assert_allclose(
+            planned[2][key], planless[2][key], rtol=1e-12, atol=1e-14, err_msg=key
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +265,11 @@ def test_rgcn_step_profile_names_relational_kernels(rng, tmp_path):
 def test_landed_segment_matmul_matches_segment_sum(mode, rng):
     """Landing the key rows inside the kernel equals transforming them
     and summing onto ``keys.dst`` — forward and every gradient — and
-    keeps no ``[U, O]`` tensor on the tape."""
-    ctx = make_context(num_nodes=12, num_edges=60)
+    keeps no ``[U, O]`` tensor on the tape.
+
+    On the reference context the match is exact: the reference's
+    bitwise agreement with ``np.add.at`` compositions rests on it."""
+    ctx = make_context(num_nodes=12, num_edges=60, mode=mode)
     fusion = ctx.relation_fusion(RELATIONS)
     keys = fusion.keys
     h = Tensor(rng.normal(size=(len(keys.dst), DIM)), requires_grad=True)
@@ -251,11 +277,10 @@ def test_landed_segment_matmul_matches_segment_sum(mode, rng):
     b = Tensor(rng.normal(size=(RELATIONS, 4)), requires_grad=True)
     seed = rng.normal(size=(ctx.num_nodes, 4))
 
-    with run_mode(mode):
-        landed = fused.relation_segment_matmul(
-            h, w, keys.starts, keys.ends, bias=b, land=fusion.plan("key_dst")
-        )
-        landed.backward(seed)
+    landed = fused.relation_segment_matmul(
+        h, w, keys.starts, keys.ends, bias=b, land=fusion.plan("key_dst")
+    )
+    landed.backward(seed)
     assert landed.shape == (ctx.num_nodes, 4)
     assert [parent.shape for parent in landed._parents] == [h.shape, w.shape, b.shape]
     got = [landed.data] + [t.grad.copy() for t in (h, w, b)]
@@ -267,16 +292,30 @@ def test_landed_segment_matmul_matches_segment_sum(mode, rng):
     np.add.at(expected, keys.dst, rows.data)
     rows.backward(seed[keys.dst])
     for a, e in zip(got, [expected, h.grad, w.grad, b.grad]):
-        np.testing.assert_allclose(a, e, rtol=1e-10, atol=1e-12)
+        if mode == "no-plans":
+            np.testing.assert_array_equal(a, e)
+        else:
+            np.testing.assert_allclose(a, e, rtol=1e-10, atol=1e-12)
 
 
 def test_aggregate_fallbacks_match_sparse_operator(rng):
-    """``use_plans(False)`` composes gather + scatter over
-    ``keys.inverse`` and agrees with the csr operator."""
+    """The reference fusion's gather + scatter over ``keys.inverse`` and
+    its weighted per-edge scatter agree with the csr operators."""
     ctx = make_context()
+    reference = ReferenceContext.of(ctx).relation_fusion(RELATIONS)
     fusion = ctx.relation_fusion(RELATIONS)
     x = Tensor(rng.normal(size=(ctx.num_nodes, DIM)))
-    expected = fusion.aggregate(x, weighted=True).data
-    with use_plans(False):
-        unplanned = fusion.aggregate(x, weighted=True).data
-    np.testing.assert_allclose(unplanned, expected, rtol=1e-10, atol=1e-12)
+    for weighted in (True, False):
+        np.testing.assert_allclose(
+            reference.aggregate(x, weighted=weighted).data,
+            fusion.aggregate(x, weighted=weighted).data,
+            rtol=1e-10,
+            atol=1e-12,
+        )
+    messages = Tensor(rng.normal(size=(fusion.num_edges, DIM)))
+    np.testing.assert_allclose(
+        reference.weighted_scatter(messages).data,
+        fusion.weighted_scatter(messages).data,
+        rtol=1e-10,
+        atol=1e-12,
+    )

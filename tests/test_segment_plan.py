@@ -1,21 +1,21 @@
-"""Planned (SegmentPlan/CSR) kernels vs the ``np.add.at`` reference.
+"""Planned (SegmentPlan/CSR) kernels vs the planless ``np.add.at`` path.
 
 Every scatter op must produce the same forward values and the same
-gradients whether it runs the planned sorted-segment kernels or the
-unbuffered fallback — across unsorted, duplicated and empty segments,
-single- and multi-graph batches, and when a plan is passed but
-``use_plans(False)`` forces the fallback. Also pins the context-reuse
-contract: one :class:`GraphContext` per :class:`Batch` per
-``num_edge_types``, and one plan or operator per context.
+gradients whether it is called with a plan or without one, and both
+must match a per-segment reference loop — across unsorted, duplicated
+and empty segments. Every model of the zoo must match itself run on the
+planless reference context of ``tests/reference.py``, on single- and
+multi-graph batches. Also pins the context-reuse contract: one
+:class:`GraphContext` per :class:`Batch` per ``num_edge_types``, and
+one plan or operator per context.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.gnn import ALL_MODEL_NAMES
 from repro.gnn.message_passing import GraphContext
 from repro.gnn.network import GraphRegressor
 from repro.graph.batch import Batch
@@ -25,7 +25,6 @@ from repro.tensor import (
     default_dtype,
     gather_rows,
     gradcheck,
-    plans_enabled,
     scatter_max,
     scatter_mean,
     scatter_min,
@@ -33,8 +32,8 @@ from repro.tensor import (
     scatter_std,
     scatter_sum,
     sparse_operator,
-    use_plans,
 )
+from tests.reference import ReferenceContexts, reference_segment_op
 
 TYPES = 7
 
@@ -109,17 +108,6 @@ class TestPlannedMatchesFallback:
             grads[key] = x.grad
         np.testing.assert_allclose(grads["planned"], grads["fallback"], atol=1e-12)
 
-    def test_use_plans_flag_forces_fallback(self, rng):
-        src = Tensor(rng.normal(size=(6, 2)))
-        idx = np.array([0, 2, 2, 1, 0, 2])
-        plan = SegmentPlan(idx, 4)
-        with use_plans(False):
-            assert not plans_enabled()
-            flagged = scatter_sum(src, idx, 4, plan=plan).data
-        reference = scatter_sum(src, idx, 4).data
-        np.testing.assert_array_equal(flagged, reference)
-        assert plans_enabled()
-
 
 class TestPlannedGradcheck:
     @pytest.mark.parametrize("name", sorted(OPS))
@@ -170,12 +158,19 @@ class TestSegmentPlanContract:
         )
 
 
-#: The csr engine, and plan-threaded calls under ``use_plans(False)``.
+#: Calls with a csr :class:`SegmentPlan`, and planless calls (``plan=None``).
 MODES = ("csr", "no-plans")
 
 
-def _mode(mode: str):
-    return use_plans(False) if mode == "no-plans" else contextlib.nullcontext()
+def _plan(mode: str, idx: np.ndarray, dim: int) -> SegmentPlan | None:
+    return SegmentPlan(idx, dim) if mode == "csr" else None
+
+
+def _reference(name, src, idx, dim):
+    """The per-segment loop's output and gradient under an all-ones seed."""
+    out_rows = len(src) if name == "softmax" else dim
+    seed = np.ones((out_rows,) + src.shape[1:], dtype=src.dtype)
+    return reference_segment_op(name, src, idx, dim, seed)
 
 
 def _skewed_case(dtype, rng):
@@ -190,13 +185,12 @@ def _skewed_case(dtype, rng):
 
 
 class TestBackendParity:
-    """Differential parity of each execution mode vs the planless path.
+    """Differential parity of each execution mode vs a per-segment loop.
 
-    The planless ``np.add.at`` composition is the single source of
-    truth; the csr kernels, and plan-threaded calls forced onto the
-    fallback by ``use_plans(False)``, must reproduce its forward values
-    and gradients for all six ops, both float dtypes, and skewed and
-    empty segments.
+    ``reference_segment_op`` (a numpy loop over segments with hand-derived
+    gradients) is the single source of truth; calls with a csr plan and
+    planless calls must reproduce its forward values and gradients for
+    all six ops, both float dtypes, and skewed and empty segments.
     """
 
     @pytest.mark.parametrize("mode", MODES)
@@ -205,13 +199,10 @@ class TestBackendParity:
     @settings(max_examples=15, deadline=None)
     def test_forward_and_grad_parity(self, mode, name, case):
         src, idx, dim = case
-        op = OPS[name]
-        with _mode(mode):
-            plan = SegmentPlan(idx, dim)
-            planned_out, planned_grad = _run(op, src, idx, dim, plan)
-        reference_out, reference_grad = _run(op, src, idx, dim, None)
-        np.testing.assert_allclose(planned_out, reference_out, atol=1e-9)
-        np.testing.assert_allclose(planned_grad, reference_grad, atol=1e-9)
+        got_out, got_grad = _run(OPS[name], src, idx, dim, _plan(mode, idx, dim))
+        reference_out, reference_grad = _reference(name, src, idx, dim)
+        np.testing.assert_allclose(got_out, reference_out, atol=1e-9)
+        np.testing.assert_allclose(got_grad, reference_grad, atol=1e-9)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -219,25 +210,21 @@ class TestBackendParity:
     def test_skewed_degree_graph(self, mode, dtype, name, rng):
         src, idx, dim = _skewed_case(dtype, rng)
         # float32 reductions reorder across kernels; the parity band is
-        # the same one the planned-vs-fallback model tests rely on.
+        # the same one the planned-vs-reference model tests rely on.
         tol = dict(atol=1e-4, rtol=1e-4) if dtype == np.float32 else dict(atol=1e-9)
-        with _mode(mode):
-            plan = SegmentPlan(idx, dim)
-            planned_out, planned_grad = _run(OPS[name], src, idx, dim, plan)
-        reference_out, reference_grad = _run(OPS[name], src, idx, dim, None)
-        np.testing.assert_allclose(planned_out, reference_out, **tol)
-        np.testing.assert_allclose(planned_grad, reference_grad, **tol)
+        got_out, got_grad = _run(OPS[name], src, idx, dim, _plan(mode, idx, dim))
+        reference_out, reference_grad = _reference(name, src, idx, dim)
+        np.testing.assert_allclose(got_out, reference_out, **tol)
+        np.testing.assert_allclose(got_grad, reference_grad, **tol)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_empty_segment_graph(self, mode, name):
         src = np.empty((0, 2))
         idx = np.empty(0, dtype=np.int64)
-        with _mode(mode):
-            plan = SegmentPlan(idx, 4)
-            planned_out, _ = _run(OPS[name], src, idx, 4, plan)
-        reference_out, _ = _run(OPS[name], src, idx, 4, None)
-        np.testing.assert_allclose(planned_out, reference_out)
+        got_out, _ = _run(OPS[name], src, idx, 4, _plan(mode, idx, 4))
+        reference_out, _ = _reference(name, src, idx, 4)
+        np.testing.assert_allclose(got_out, reference_out)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", sorted(OPS))
@@ -245,22 +232,18 @@ class TestBackendParity:
         src = Tensor(rng.normal(size=(6, 2)), requires_grad=True)
         idx = np.array([3, 0, 0, 2, 3, 3])  # unsorted, duplicated, seg 1 empty
         tol = {"atol": 1e-3, "rtol": 1e-3} if name == "std" else {}
-        with _mode(mode):
-            plan = SegmentPlan(idx, 4)
-            assert gradcheck(lambda: OPS[name](src, idx, 4, plan=plan), [src], **tol)
+        plan = _plan(mode, idx, 4)
+        assert gradcheck(lambda: OPS[name](src, idx, 4, plan=plan), [src], **tol)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_gather_backward_parity(self, mode, rng):
-        x_data = rng.normal(size=(5, 3))
         idx = np.array([4, 0, 0, 2, 4, 4])
-        with _mode(mode):
-            plan = SegmentPlan(idx, 5)
-            x = Tensor(x_data.copy(), requires_grad=True)
-            gather_rows(x, idx, plan=plan).sum().backward()
-            planned_grad = x.grad
-        x = Tensor(x_data.copy(), requires_grad=True)
-        gather_rows(x, idx).sum().backward()
-        np.testing.assert_allclose(planned_grad, x.grad, atol=1e-12)
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        seed = rng.normal(size=(len(idx), 3))
+        gather_rows(x, idx, plan=_plan(mode, idx, 5)).backward(seed)
+        # The gather's gradient is the per-node sum of the seed rows.
+        expected, _ = reference_segment_op("sum", seed, idx, 5, np.zeros((5, 3)))
+        np.testing.assert_allclose(x.grad, expected, atol=1e-12)
 
 
 def _model_step(model, batch):
@@ -275,13 +258,17 @@ def _model_step(model, batch):
     return out.data.copy(), grads
 
 
-@pytest.mark.parametrize("model_name", ["gcn", "rgcn", "gat", "pna"])
+@pytest.mark.parametrize("model_name", ALL_MODEL_NAMES)
 @pytest.mark.parametrize("batch_slice", [slice(0, 1), slice(0, 6)])
 def test_model_forward_backward_parity(dfg_samples, model_name, batch_slice):
-    """Whole-network parity, single- and multi-graph batches.
+    """Whole-network parity with the reference context, every zoo model,
+    single- and multi-graph batches.
 
-    Pinned to float64: the comparison probes *kernel* equivalence
-    (planned vs fallback scatter), so float32 summation-order noise must
+    The reference context has no plans and no sparse operators, so every
+    scatter runs planless and GCN propagation and relational aggregation
+    run as gather + multiply + scatter compositions; U-Net's pooled
+    levels are reference contexts too. Pinned to float64: the comparison
+    probes *kernel* equivalence, so float32 summation-order noise must
     not drown the 1e-7 band.
     """
     with default_dtype(np.float64):
@@ -294,19 +281,18 @@ def test_model_forward_backward_parity(dfg_samples, model_name, batch_slice):
             num_edge_types=TYPES,
             rng=np.random.default_rng(3),
         )
-        with use_plans(True):
-            planned_out, planned_grads = _model_step(model, batch)
-        with use_plans(False):
-            fallback_out, fallback_grads = _model_step(model, batch)
-    np.testing.assert_allclose(planned_out, fallback_out, atol=1e-8)
-    assert planned_grads.keys() == fallback_grads.keys()
+        planned_out, planned_grads = _model_step(model, batch)
+        with ReferenceContexts(model):
+            reference_out, reference_grads = _model_step(model, batch)
+    np.testing.assert_allclose(planned_out, reference_out, atol=1e-8)
+    assert planned_grads.keys() == reference_grads.keys()
     for name in planned_grads:
-        planned, fallback = planned_grads[name], fallback_grads[name]
-        if planned is None or fallback is None:
+        planned, reference = planned_grads[name], reference_grads[name]
+        if planned is None or reference is None:
             # e.g. relation weights for relations absent from the batch
-            assert planned is None and fallback is None, name
+            assert planned is None and reference is None, name
             continue
-        np.testing.assert_allclose(planned, fallback, atol=1e-7, err_msg=name)
+        np.testing.assert_allclose(planned, reference, atol=1e-7, err_msg=name)
 
 
 class TestContextReuse:
@@ -356,9 +342,6 @@ class TestContextReuse:
                 zip(ctx.sym_src[mask], ctx.sym_dst[mask])
             )
             assert (np.diff(dst) >= 0).all()  # plan-ready without argsort
-            src_plan, dst_plan = ctx.relation_plans(relation)
-            assert dst_plan.order is None
-            assert src_plan.size == len(src)
 
     def test_plans_and_operators_built_once_per_context(self, dfg_samples):
         ctx = GraphContext.from_batch(Batch(dfg_samples[:4]), TYPES)
@@ -371,10 +354,9 @@ class TestContextReuse:
             "_gcn_operator",
         ):
             assert getattr(ctx, name) is getattr(ctx, name), name
-        assert ctx.relation_plans(0) is ctx.relation_plans(0)
         fusion = ctx.relation_fusion(ctx.num_relations)
         assert ctx.relation_fusion(ctx.num_relations) is fusion
-        for name in ("src", "dst", "key_dst", "inverse"):
+        for name in ("src", "key_dst", "inverse"):
             assert fusion.plan(name) is fusion.plan(name), name
         for dtype in (np.float32, np.float64):
             assert fusion.norm_for(dtype) is fusion.norm_for(dtype)
