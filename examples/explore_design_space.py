@@ -34,7 +34,7 @@ def main() -> None:
     print(f"{program.name}: {len(space.knobs)} loop knobs, "
           f"{space.size} design points\n")
 
-    # 2. A QoR predictor served through the micro-batching service. The
+    # 2. A QoR predictor served through the batched service. The
     #    training distribution includes randomly-directived programs, so
     #    the model has seen the directive feature columns it must rank.
     scale = get_scale()

@@ -12,7 +12,7 @@ walks that lifecycle:
    process" (nothing shared with the trainer but the directory),
 4. answer a raw C-source request end to end,
 5. run a mock DSE loop — repeated, overlapping queries — and watch the
-   micro-batcher and fingerprint cache absorb the traffic.
+   batched evaluate and fingerprint cache absorb the traffic.
 
 Run:  python examples/serve_predictions.py
 """

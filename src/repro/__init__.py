@@ -28,7 +28,7 @@ Trained predictors outlive the training process: ``repro.serve`` saves
 any of the three approaches as a versioned artifact (JSON manifest +
 ``.npz`` weights), publishes it to a directory-backed model registry,
 and serves predictions — for pre-encoded graphs or raw mini-C source —
-through a micro-batching, fingerprint-cached ``PredictionService``::
+through a batched, fingerprint-cached ``PredictionService``::
 
     from repro.serve import ModelRegistry, PredictionService
 

@@ -16,7 +16,7 @@ Ferretti et al. (arXiv:2111.14767) and Sohrabizadeh et al.'s GNN-DSE
   per clock (exact, slow);
   :class:`~repro.dse.evaluate.PredictorEvaluator` rewrites only the
   directive feature columns per point and scores hundreds of candidate
-  graphs per flush through the batched
+  graphs per call of the batched
   :class:`~repro.serve.service.PredictionService` (fast, approximate);
 - :func:`~repro.dse.strategies.explore` drives exhaustive, random,
   epsilon-greedy and evolutionary searches over either backend;

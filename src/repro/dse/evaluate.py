@@ -12,7 +12,7 @@ design point through as flow overrides (no re-lowering per point):
   at a fraction of its cost. Points are memoised.
 - :class:`PredictorEvaluator` re-encodes only the three directive
   feature columns per point and scores hundreds of candidate graphs per
-  flush through the micro-batching
+  call of the batched
   :class:`~repro.serve.service.PredictionService`; revisited points
   collapse into its fingerprint cache. Latency comes from the analytical
   loop-nest model on a schedule cached per clock option (scheduling is
@@ -138,7 +138,7 @@ class PredictorEvaluator:
     Setup compiles and encodes the kernel once; per design point only the
     directive feature columns change, so candidate graphs are derived as
     copy-on-write feature matrices over shared topology arrays and
-    flushed through the service in bulk (one fused model call per
+    scored by one service call (one fused model call per
     ``max_batch_size`` distinct graphs).
     """
 

@@ -26,9 +26,9 @@ function of the plan (never of wall-clock time or OS scheduling):
   exercised deterministically without touching files on disk.
 
 Seams currently wired: ``serve.predict`` (the serving tier's model
-call), ``serve.flush`` (the micro-batcher's fused evaluation),
-``pipeline.build`` (one dataset sample's compile→HLS→encode, keyed by
-sample index), ``train.step`` (the trainer's per-batch optimiser step —
+call), ``serve.flush`` (each fused model chunk inside
+``PredictionService.predict``), ``pipeline.build`` (one dataset
+sample's compile→HLS→encode, keyed by sample index), ``train.step`` (the trainer's per-batch optimiser step —
 kill here to simulate dying mid-epoch), ``train.checkpoint`` (between a
 checkpoint's temp write and its atomic rename — kill here to simulate
 crashing mid-checkpoint, leaving a torn temp dir behind) and ``io.read``

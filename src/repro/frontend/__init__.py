@@ -7,7 +7,7 @@ suite builders in :mod:`repro.suites`, or parsed from source text with
 :mod:`repro.ir` from which DFGs/CDFGs are extracted.
 """
 
-from repro.frontend.ctypes_ import CArray, CInt, CType
+from repro.typesys import CArray, CInt, CType
 from repro.frontend.ast_ import (
     ArrayRef,
     Assign,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from repro.frontend.ctypes_ import CInt, CType
+from repro.typesys import CInt, CType
 
 BINARY_OPS = (
     "+", "-", "*", "/", "%",

@@ -30,13 +30,13 @@ from repro.frontend.ast_ import (
     UnOp,
     Var,
 )
-from repro.frontend.ctypes_ import CArray, CInt
 from repro.ir.basic_block import BasicBlock
 from repro.ir.function import IRFunction, LoopDirective
 from repro.ir.opcodes import Opcode
 from repro.ir.values import Argument, Constant, Instruction, Value
 from repro.ir.verify import verify_function
 from repro.obs import trace
+from repro.typesys import CArray, CInt
 
 BOOL = CInt(1, signed=False)
 

@@ -49,7 +49,7 @@ from repro.frontend.ast_ import (
     UnOp,
     Var,
 )
-from repro.frontend.ctypes_ import CArray, CInt, CType
+from repro.typesys import CArray, CInt, CType
 
 
 class ParseError(ValueError):

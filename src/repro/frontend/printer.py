@@ -21,7 +21,7 @@ from repro.frontend.ast_ import (
     UnOp,
     Var,
 )
-from repro.frontend.ctypes_ import CArray, CInt
+from repro.typesys import CArray, CInt
 
 
 def expr_to_c(expr: Expr) -> str:

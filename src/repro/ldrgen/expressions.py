@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.frontend.ast_ import ArrayRef, BinOp, Call, Cond, Expr, IntConst, UnOp, Var
-from repro.frontend.ctypes_ import CInt
+from repro.typesys import CInt
 from repro.ldrgen.config import GeneratorConfig
 
 _COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")

@@ -18,7 +18,7 @@ from repro.frontend.ast_ import (
     Stmt,
     Var,
 )
-from repro.frontend.ctypes_ import CArray, CInt
+from repro.typesys import CArray, CInt
 from repro.ldrgen.config import GeneratorConfig
 from repro.ldrgen.expressions import ExpressionSampler
 

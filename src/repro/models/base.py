@@ -42,8 +42,8 @@ def apply_feature_view(graphs: list[GraphData], view: str) -> list[GraphData]:
     ``view`` is one of:
 
     - ``"base"`` — unchanged (off-the-shelf);
-    - ``"rich"`` — append per-node resource values (DSP raw, log1p LUT,
-      log1p FF) from intermediate HLS results;
+    - ``"rich"`` — append per-node resource values from intermediate HLS
+      results on a linear scale (DSP/4, LUT/64, FF/64);
     - ``"infused"`` — append the three ground-truth resource-type bits
       (used during hierarchical training; inference appends *inferred*
       bits instead, see :class:`~repro.models.knowledge_infused.

@@ -27,22 +27,25 @@ the newest), so experiments publish and consumers resolve by name::
     registry.register("rgcn-hier", predictor, extras={"val_mape": 0.12})
     predictor = registry.load("rgcn-hier")                 # latest
 
-:class:`PredictionService` answers requests: it validates each incoming
-graph at the boundary, coalesces duplicates, evaluates in fused batches
+:class:`PredictionService` evaluates: one synchronous
+:meth:`~PredictionService.predict` call validates a list of graphs,
+dedupes them, looks them up in an LRU keyed by the graph's content
+fingerprint and runs the misses in fused batches
 (:class:`~repro.graph.batch.Batch` union, ``max_batch_size`` per model
-call) and caches results in an LRU keyed by the graph's content
-fingerprint. Requests can be pre-encoded graphs, ASTs, or raw mini-C
-source text (parsed, lowered and encoded on the fly)::
+call). It holds no queue. Requests can be pre-encoded graphs, ASTs, or
+raw mini-C source text (parsed, lowered and encoded on the fly)::
 
     service = PredictionService.from_registry("model-registry", "rgcn-hier")
     dsp, lut, ff, cp = service.predict_source(c_text)      # end to end
     rows = service.predict(graphs)                         # batched
 
-On top of the synchronous service sits the fault-tolerant serving tier,
-:class:`~repro.serve.server.PredictionServer` — worker threads, a
-bounded queue with deadline-aware adaptive batching, backpressure
-(typed :class:`~repro.serve.server.Overloaded` sheds), retries with
-jittered exponential backoff, a circuit breaker that degrades to the
+The fault-tolerant serving tier,
+:class:`~repro.serve.server.PredictionServer`, queues and batches: it is
+the only batching layer, and hands each batch to a worker's service in
+one ``predict`` call. It adds worker threads, a bounded queue with
+deadline-aware adaptive batching, backpressure (typed
+:class:`~repro.serve.server.Overloaded` sheds), retries with jittered
+exponential backoff, a circuit breaker that degrades to the
 analytical models (:class:`~repro.serve.fallback.AnalyticalFallback`,
 responses tagged ``degraded=True``), zero-downtime hot reload from the
 registry, and one answer cache owned by the server that resolves repeated
@@ -81,7 +84,6 @@ from repro.serve.server import (
     ServerTicket,
 )
 from repro.serve.service import (
-    PendingPrediction,
     PredictionService,
     ServiceConfig,
     ServiceStats,
@@ -113,7 +115,6 @@ __all__ = [
     "ServerConfig",
     "ServerStats",
     "ServerTicket",
-    "PendingPrediction",
     "PredictionService",
     "ServiceConfig",
     "ServiceStats",

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +46,8 @@ from repro.version import __version__
 #: encoder now produces and must be retrained.
 #: v4: manifests record ``weights_digest`` (sha256 of weights.npz) and
 #: loads verify it, so silent corruption of a published artifact is
-#: caught before the weights reach a server. v3 artifacts (no digest)
-#: still load, with a warning.
+#: caught before the weights reach a server. Older schemas are refused.
 SCHEMA_VERSION = 4
-
-#: Older schemas load_predictor still accepts (weights unverified).
-_LEGACY_SCHEMAS = {3}
 
 MANIFEST_NAME = "manifest.json"
 WEIGHTS_NAME = "weights.npz"
@@ -139,10 +134,10 @@ def read_manifest(path: str | Path) -> dict:
         raise ArtifactError(f"no {MANIFEST_NAME} in {path}")
     manifest = json.loads(manifest_path.read_text())
     version = manifest.get("schema_version")
-    if version != SCHEMA_VERSION and version not in _LEGACY_SCHEMAS:
-        supported = sorted(_LEGACY_SCHEMAS | {SCHEMA_VERSION})
+    if version != SCHEMA_VERSION:
         raise ArtifactError(
-            f"unsupported artifact schema {version!r} (supported: {supported})"
+            f"unsupported artifact schema {version!r} "
+            f"(supported: {[SCHEMA_VERSION]})"
         )
     if manifest.get("kind") not in _KINDS:
         raise ArtifactError(f"unknown predictor kind {manifest.get('kind')!r}")
@@ -157,8 +152,8 @@ def load_predictor(path: str | Path) -> Predictor:
     skeleton is rebuilt from the manifest config and input widths). The
     weight archive's sha256 is checked against the manifest's
     ``weights_digest`` before any array is deserialised; a mismatch
-    raises :class:`repro.integrity.DigestMismatch`. Legacy (v3)
-    artifacts carry no digest and load with a warning.
+    raises :class:`repro.integrity.DigestMismatch`; a manifest without a
+    digest raises :class:`ArtifactError`.
     """
     path = Path(path)
     manifest = read_manifest(path)
@@ -178,11 +173,7 @@ def load_predictor(path: str | Path) -> Predictor:
         raise ArtifactError(f"no {WEIGHTS_NAME} in {path}")
     expected = manifest.get("weights_digest")
     if expected is None:
-        warnings.warn(
-            f"artifact {path} predates weight digests "
-            f"(schema {manifest.get('schema_version')}); loading unverified",
-            stacklevel=2,
-        )
+        raise ArtifactError(f"manifest in {path} records no weights_digest")
     try:
         state = load_npz_verified(
             weights_path, expected=expected, label=f"artifact {path}"

@@ -1,7 +1,9 @@
 """Concurrent, fault-tolerant, SLO-aware serving tier.
 
-:class:`PredictionServer` wraps the synchronous micro-batching
-:class:`~repro.serve.service.PredictionService` with the machinery a
+:class:`PredictionServer` is the one batching layer of the serving stack:
+it queues requests, forms batches, and hands each batch to a worker's
+:class:`~repro.serve.service.PredictionService`, a synchronous evaluate
+with no queue of its own. Around that it adds the machinery a
 long-running deployment needs: worker threads, deadlines, backpressure,
 retries, a circuit breaker with analytical degradation, and zero-downtime
 model hot-reload. One server instance is the unit of deployment; the
@@ -29,11 +31,12 @@ Request lifecycle
    comes first. Requests whose deadline passed while queued are dropped
    and resolved with :class:`DeadlineExceeded` (``serve.deadline_expired``)
    — no model time is spent on answers nobody is waiting for.
-3. **Evaluation** — the batch runs through the worker's own
-   :class:`PredictionService` (per-worker predictor clone, shared metrics
-   registry, no cache of its own — duplicates within a batch still share
-   one model row), guarded by the circuit breaker and the
-   ``serve.predict`` fault seam. Its ``ok`` rows enter the answer cache.
+3. **Evaluation** — the batch runs through one
+   :meth:`PredictionService.predict` call on the worker's own service
+   (per-worker predictor clone, shared metrics registry, no cache of its
+   own — duplicates within a batch still share one model row), guarded
+   by the circuit breaker and the ``serve.predict`` fault seam. Its
+   ``ok`` rows enter the answer cache.
 4. **Retry** — a failed evaluation requeues its requests with exponential
    backoff plus seeded jitter (``serve.retries``), up to ``max_retries``
    per request and never beyond the request's deadline.
@@ -94,6 +97,7 @@ from repro.serve.service import (
     PredictionService,
     ServiceConfig,
     ServiceStats,
+    validate_request,
 )
 
 __all__ = [
@@ -461,21 +465,12 @@ class PredictionServer:
         #: worker owns its clone.
         self._predict_lock = threading.Lock() if predictor is not None else None
 
-        # Template predictor for boundary validation / encoding flags;
+        # Template predictor for admission validation / encoding flags;
         # worker threads load their own copies (registry mode).
         self._template = (
             predictor
             if predictor is not None
             else self._registry.load(self._name, self._version)
-        )
-        self._boundary = PredictionService(
-            self._template,
-            ServiceConfig(
-                max_batch_size=self.config.max_batch_size,
-                cache_size=0,
-                validate=True,
-            ),
-            metrics=MetricsRegistry(),  # throwaway: boundary never predicts
         )
 
         self._breaker = CircuitBreaker(
@@ -497,8 +492,8 @@ class PredictionServer:
         )
         # Every worker's model loads here, before any thread starts: a
         # load error raises from the constructor instead of killing a
-        # worker that admitted requests would then wait on forever. The
-        # boundary only reads the template's configuration, so worker 0
+        # worker that admitted requests would then wait on forever.
+        # Admission only reads the template's configuration, so worker 0
         # takes the template as its clone instead of loading another.
         states = [
             _WorkerState(
@@ -578,7 +573,7 @@ class PredictionServer:
         assert graph is not None
         if self.config.validate:
             try:
-                self._boundary._validate(graph)
+                validate_request(self._template, graph)
             except ValueError:
                 self._count["rejected"].inc()
                 raise

@@ -1,18 +1,16 @@
-"""The prediction service: validation, micro-batching and caching.
+"""The prediction service: a synchronous, cached evaluate.
 
-Requests (graphs, programs or raw C source) are accepted one at a time
-but evaluated in *batches*: ``submit`` queues a request and returns a
-:class:`PendingPrediction`; the queue is flushed through the model as a
-:class:`~repro.graph.batch.Batch` union when it reaches
-``max_batch_size``, when ``flush()`` is called, or lazily when a pending
-result is read. Duplicate requests are coalesced — identical graphs in
-flight share one model evaluation, and completed results live in an LRU
-keyed by :meth:`GraphData.fingerprint`, so the repeated queries of a DSE
-loop hit memory instead of the model.
+:meth:`PredictionService.predict` takes a list of graphs and returns
+their DSP/LUT/FF/CP rows in one synchronous pass: validate, fingerprint,
+dedupe within the call, look up an LRU keyed by
+:meth:`GraphData.fingerprint`, and run the misses through the model as
+fused :class:`~repro.graph.batch.Batch` unions of at most
+``max_batch_size`` graphs. The repeated queries of a DSE loop hit memory
+instead of the model.
 
-The service is deliberately synchronous and single-threaded: batching is
-a throughput device (one fused forward pass over many graphs), not a
-concurrency device.
+The service holds no queue. Callers that collect requests over time,
+like :class:`~repro.serve.server.PredictionServer`, own the queueing and
+batching, and hand the service one batch per call.
 """
 
 from __future__ import annotations
@@ -37,8 +35,7 @@ from repro.serve.registry import LATEST, ModelRegistry
 class ServiceConfig:
     """Batching, caching and validation knobs."""
 
-    #: Flush automatically once this many distinct graphs are pending;
-    #: also the chunk size of each model call.
+    #: Distinct graphs per fused model call.
     max_batch_size: int = 32
     #: LRU capacity in graphs; 0 disables result caching.
     cache_size: int = 1024
@@ -73,9 +70,7 @@ _STAT_FIELDS = (
     "rejected",
     "evictions",
     "batches",
-    "flushes",
     "model_graphs",
-    "bulk_calls",
     "streamed",
 )
 
@@ -94,8 +89,8 @@ class ServiceStats:
     Invariant: every accepted request is counted exactly once in
     ``cache_hits + cache_misses + coalesced``; requests rejected at the
     validation boundary land in ``rejected`` instead. ``model_graphs``
-    counts *distinct* graphs evaluated by the model — with coalescing and
-    bulk dedupe it never exceeds ``cache_misses``.
+    counts *distinct* graphs evaluated by the model — with in-call dedupe it
+    never exceeds ``cache_misses``.
     """
 
     __slots__ = ("_metrics",)
@@ -124,53 +119,37 @@ class ServiceStats:
         return f"ServiceStats({fields})"
 
 
-class _Inflight:
-    """One distinct pending graph shared by all its tickets."""
+def validate_request(predictor: Predictor, graph: GraphData) -> None:
+    """Raise ``ValueError`` unless ``predictor`` can evaluate ``graph``.
 
-    __slots__ = ("fingerprint", "graph", "value", "error")
-
-    def __init__(self, fingerprint: str, graph: GraphData):
-        self.fingerprint = fingerprint
-        self.graph = graph
-        self.value: np.ndarray | None = None
-        #: The exception that killed this entry's flush chunk, if any —
-        #: surfaced to every ticket on the entry as ``__cause__``.
-        self.error: BaseException | None = None
-
-
-class PendingPrediction:
-    """Handle for a queued request; ``result()`` flushes if needed."""
-
-    def __init__(self, service: "PredictionService", entry: _Inflight):
-        self._service = service
-        self._entry = entry
-
-    @property
-    def done(self) -> bool:
-        return self._entry.value is not None or self._entry.error is not None
-
-    def result(self) -> np.ndarray:
-        """The DSP/LUT/FF/CP prediction, forcing a flush if still queued.
-
-        A request whose flush chunk failed raises ``RuntimeError`` with
-        the underlying model exception chained as ``__cause__`` — callers
-        see *why* the batch died, and only that batch is poisoned.
-        """
-        if self._entry.value is None and self._entry.error is None:
-            try:
-                self._service.flush()
-            except Exception as exc:  # noqa: BLE001 - recorded, re-raised below
-                if self._entry.error is None:
-                    self._entry.error = exc
-        if self._entry.value is None:
-            raise RuntimeError(
-                "prediction failed for this request; resubmit"
-            ) from self._entry.error
-        return self._entry.value.copy()
+    Views are derived inside the predictor, so a request carries *base*
+    features: the rich view appends 3 resource columns to the recorded
+    model input, the hierarchical graph stage consumes the node stage's
+    width plus 3 inferred bits. Predictors that consume intermediate HLS
+    results also need ``node_resources``.
+    """
+    dims = predictor.input_dims
+    if predictor.feature_view == "rich":
+        feature_dim = dims["graph"] - 3
+    elif predictor.feature_view == "infused":
+        feature_dim = dims["node"]
+    else:
+        feature_dim = dims["graph"]
+    validate_inference_graph(
+        graph,
+        feature_dim=feature_dim,
+        num_edge_types=predictor.config.num_edge_types,
+    )
+    if predictor.requires_hls and graph.node_resources is None:
+        raise ValueError(
+            "this predictor consumes intermediate HLS results; encode "
+            "requests with node_resources (see encode_source(..., "
+            "with_hls_resources=True))"
+        )
 
 
 class PredictionService:
-    """Serve a fitted predictor with batching, caching and validation."""
+    """Evaluate a fitted predictor with validation, dedupe and caching."""
 
     def __init__(
         self,
@@ -191,8 +170,6 @@ class PredictionService:
         self._request_latency = self.metrics.timer("serve.request_latency_s")
         self._batch_latency = self.metrics.timer("serve.batch_latency_s")
         self._cache: OrderedDict[str, np.ndarray] = OrderedDict()
-        self._pending: list[_Inflight] = []
-        self._inflight: dict[str, _Inflight] = {}
 
     # -- construction ----------------------------------------------------
     @classmethod
@@ -211,37 +188,7 @@ class PredictionService:
     ) -> "PredictionService":
         return cls(ModelRegistry(root).load(name, version), config=config)
 
-    # -- request intake --------------------------------------------------
-    @property
-    def expected_feature_dim(self) -> int:
-        """Base feature width a request graph must carry.
-
-        Views are derived inside the predictor, so the boundary expects
-        *base* features: the rich view appends 3 resource columns to the
-        recorded model input, the hierarchical graph stage consumes the
-        node stage's width plus 3 inferred bits.
-        """
-        dims = self.predictor.input_dims
-        view = self.predictor.feature_view
-        if view == "rich":
-            return dims["graph"] - 3
-        if view == "infused":
-            return dims["node"]
-        return dims["graph"]
-
-    def _validate(self, graph: GraphData) -> None:
-        validate_inference_graph(
-            graph,
-            feature_dim=self.expected_feature_dim,
-            num_edge_types=self.predictor.config.num_edge_types,
-        )
-        if self.predictor.requires_hls and graph.node_resources is None:
-            raise ValueError(
-                "this predictor consumes intermediate HLS results; encode "
-                "requests with node_resources (see encode_source(..., "
-                "with_hls_resources=True))"
-            )
-
+    # -- evaluation --------------------------------------------------------
     def _should_stream(self, graph: GraphData) -> bool:
         """Route large graphs through the bounded-memory streaming path."""
         return (
@@ -250,179 +197,98 @@ class PredictionService:
             and getattr(self.predictor, "predict_streaming", None) is not None
         )
 
-    def submit(
-        self, graph: GraphData, fingerprint: str | None = None
-    ) -> PendingPrediction:
-        """Queue one graph; auto-flushes when the batch fills up.
-
-        ``fingerprint`` may be supplied when the caller already computed
-        it (the bulk path hashes every graph up front for dedupe).
-        """
-        self._count["requests"].inc()
-        if self.config.validate:
-            try:
-                self._validate(graph)
-            except ValueError:
-                self._count["rejected"].inc()
-                raise
-        if fingerprint is None:
-            fingerprint = graph.fingerprint()
-        cached = self._cache_get(fingerprint)
-        if cached is not None:
-            self._count["cache_hits"].inc()
-            entry = _Inflight(fingerprint, graph)
-            entry.value = cached
-            return PendingPrediction(self, entry)
-        inflight = self._inflight.get(fingerprint)
-        if inflight is not None:
-            self._count["coalesced"].inc()
-            return PendingPrediction(self, inflight)
-        self._count["cache_misses"].inc()
-        entry = _Inflight(fingerprint, graph)
-        self._pending.append(entry)
-        self._inflight[fingerprint] = entry
-        ticket = PendingPrediction(self, entry)
-        if len(self._pending) >= self.config.max_batch_size:
-            self.flush()
-        return ticket
-
-    def flush(self) -> int:
-        """Evaluate every pending graph; returns how many were run.
-
-        Exception-safe, chunk-isolated: a failed model call poisons only
-        the entries of *that* chunk — each records the exception (their
-        tickets re-raise it as ``__cause__``) — while later chunks still
-        run. Every flushed entry, resolved or poisoned, leaves the
-        in-flight table, so later submissions of the same graphs get
-        fresh evaluations instead of coalescing onto dead entries. The
-        first chunk failure is re-raised once the whole flush completes.
-
-        Graphs at or above ``config.stream_nodes`` bypass the fused
-        batch: each runs alone through the predictor's bounded-memory
-        ``predict_streaming`` path (errors isolated per graph).
-        """
-        pending, self._pending = self._pending, []
-        if not pending:
-            return 0
-        self._count["flushes"].inc()
-        size = self.config.max_batch_size
-        first_error: BaseException | None = None
-        streamed = [e for e in pending if self._should_stream(e.graph)]
-        batched = [e for e in pending if not self._should_stream(e.graph)]
-        try:
-            for entry in streamed:
-                try:
-                    fault_point("serve.flush")
-                    entry_start = time.perf_counter()
-                    row = self.predictor.predict_streaming(
-                        entry.graph,
-                        max_block_nodes=self.config.stream_block_nodes,
-                    )
-                except Exception as exc:  # noqa: BLE001 - isolate the entry
-                    entry.error = exc
-                    if first_error is None:
-                        first_error = exc
-                    continue
-                self._request_latency.observe(time.perf_counter() - entry_start)
-                self._count["streamed"].inc()
-                self._count["model_graphs"].inc()
-                entry.value = np.asarray(row, dtype=np.float64)
-                self._cache_put(entry.fingerprint, entry.value)
-            for start in range(0, len(batched), size):
-                chunk = batched[start : start + size]
-                try:
-                    fault_point("serve.flush")
-                    # max_batch_size governs the fused model batch end to
-                    # end — without it the predictor would silently
-                    # re-chunk.
-                    chunk_start = time.perf_counter()
-                    predictions = self.predictor.predict(
-                        [e.graph for e in chunk], batch_size=size
-                    )
-                except Exception as exc:  # noqa: BLE001 - isolate the chunk
-                    for entry in chunk:
-                        entry.error = exc
-                    if first_error is None:
-                        first_error = exc
-                    continue
-                chunk_s = time.perf_counter() - chunk_start
-                self._batch_latency.observe(chunk_s)
-                # Per-graph share of the fused batch — what p50/p99 serve
-                # latency means under a micro-batching service.
-                per_graph = chunk_s / len(chunk)
-                for _ in chunk:
-                    self._request_latency.observe(per_graph)
-                self._count["batches"].inc()
-                self._count["model_graphs"].inc(len(chunk))
-                for entry, row in zip(chunk, predictions):
-                    entry.value = np.asarray(row, dtype=np.float64)
-                    self._cache_put(entry.fingerprint, entry.value)
-        finally:
-            for entry in pending:
-                self._inflight.pop(entry.fingerprint, None)
-        if first_error is not None:
-            raise first_error
-        return len(pending)
-
-    # -- convenience front-ends -------------------------------------------
-    def submit_many(
+    def predict(
         self,
         graphs: list[GraphData],
-        fingerprints: list[str] | None = None,
-    ) -> list[PendingPrediction]:
-        """Bulk intake with up-front fingerprint dedupe.
+        fingerprints: list | None = None,
+    ) -> np.ndarray:
+        """DSP/LUT/FF/CP for each graph, ``[len(graphs), 4]`` float64.
 
-        Duplicate graphs within one bulk call share a single ticket (and
-        a single model evaluation) *regardless* of cache configuration or
-        where auto-flush boundaries fall inside the call. The per-request
-        :meth:`submit` path cannot guarantee that: a duplicate submitted
-        after its twin was flushed re-enters through the cache, and with
-        a cold/zero-size cache it would be evaluated — and counted as a
-        miss — a second time. DSE-style workloads (hundreds of candidate
-        graphs per flush, many revisits) hit exactly that corner, so the
-        bulk path dedupes before anything is queued.
+        One synchronous pass: validate every graph (a call holding an
+        invalid graph is refused whole, counting one rejected request),
+        fingerprint it, dedupe within the call (first-seen order), look
+        the distinct graphs up in the LRU, evaluate the misses and cache
+        their rows. Graphs at or above ``config.stream_nodes`` run one at
+        a time through the predictor's bounded-memory
+        ``predict_streaming``; the rest run through ``predictor.predict``
+        in contiguous chunks of ``max_batch_size``.
 
-        ``fingerprints`` may carry precomputed
-        :meth:`~repro.graph.data.GraphData.fingerprint` values aligned
-        with ``graphs`` (the DSE scoring path hashes a shared topology
-        context once per family instead of per candidate).
+        ``fingerprints`` may carry precomputed cache keys aligned with
+        ``graphs`` (the DSE scoring path hashes a shared topology context
+        once per family; the server passes its answer-cache keys). A
+        failing model call raises its own exception; rows of chunks that
+        finished before it stay cached.
         """
+        if not graphs:
+            return np.empty((0, 4))
         if fingerprints is not None and len(fingerprints) != len(graphs):
             raise ValueError(
                 f"{len(fingerprints)} fingerprints for {len(graphs)} graphs"
             )
-        self._count["bulk_calls"].inc()
-        tickets: dict[str, PendingPrediction] = {}
-        out: list[PendingPrediction] = []
-        for index, graph in enumerate(graphs):
-            fingerprint = (
-                fingerprints[index] if fingerprints is not None else graph.fingerprint()
-            )
-            ticket = tickets.get(fingerprint)
-            if ticket is not None:
-                self._count["requests"].inc()
-                self._count["coalesced"].inc()
+        if self.config.validate:
+            for graph in graphs:
+                try:
+                    validate_request(self.predictor, graph)
+                except ValueError:
+                    self._count["requests"].inc()
+                    self._count["rejected"].inc()
+                    raise
+        if fingerprints is None:
+            fingerprints = [graph.fingerprint() for graph in graphs]
+        self._count["requests"].inc(len(graphs))
+        # fingerprint -> its first graph, in first-seen order.
+        distinct: dict = {}
+        for fingerprint, graph in zip(fingerprints, graphs):
+            distinct.setdefault(fingerprint, graph)
+        self._count["coalesced"].inc(len(graphs) - len(distinct))
+        rows: dict = {}
+        misses: list = []
+        for fingerprint, graph in distinct.items():
+            cached = self._cache_get(fingerprint)
+            if cached is None:
+                misses.append((fingerprint, graph))
             else:
-                ticket = self.submit(graph, fingerprint=fingerprint)
-                tickets[fingerprint] = ticket
-            out.append(ticket)
-        return out
-
-    def predict(
-        self,
-        graphs: list[GraphData],
-        fingerprints: list[str] | None = None,
-    ) -> np.ndarray:
-        """Batched prediction for a list of graphs: ``[len(graphs), 4]``."""
-        if not graphs:
-            return np.empty((0, 4))
-        tickets = self.submit_many(graphs, fingerprints=fingerprints)
-        self.flush()
-        return np.stack([t.result() for t in tickets])
+                rows[fingerprint] = cached
+        self._count["cache_hits"].inc(len(distinct) - len(misses))
+        self._count["cache_misses"].inc(len(misses))
+        streamed = [m for m in misses if self._should_stream(m[1])]
+        batched = [m for m in misses if not self._should_stream(m[1])]
+        for fingerprint, graph in streamed:
+            fault_point("serve.flush")
+            start = time.perf_counter()
+            row = self.predictor.predict_streaming(
+                graph, max_block_nodes=self.config.stream_block_nodes
+            )
+            self._request_latency.observe(time.perf_counter() - start)
+            self._count["streamed"].inc()
+            self._count["model_graphs"].inc()
+            rows[fingerprint] = self._cache_put(fingerprint, row)
+        size = self.config.max_batch_size
+        for offset in range(0, len(batched), size):
+            chunk = batched[offset : offset + size]
+            fault_point("serve.flush")
+            start = time.perf_counter()
+            # max_batch_size governs the fused model batch end to end —
+            # without it the predictor would silently re-chunk.
+            predictions = self.predictor.predict(
+                [graph for _, graph in chunk], batch_size=size
+            )
+            chunk_s = time.perf_counter() - start
+            self._batch_latency.observe(chunk_s)
+            # Per-graph share of the fused batch — what p50/p99 serve
+            # latency means under a batching service.
+            per_graph = chunk_s / len(chunk)
+            for _ in chunk:
+                self._request_latency.observe(per_graph)
+            self._count["batches"].inc()
+            self._count["model_graphs"].inc(len(chunk))
+            for (fingerprint, _), row in zip(chunk, predictions):
+                rows[fingerprint] = self._cache_put(fingerprint, row)
+        return np.stack([rows[fingerprint] for fingerprint in fingerprints])
 
     def predict_one(self, graph: GraphData) -> np.ndarray:
-        """Single-request path (flushes immediately)."""
-        return self.submit(graph).result()
+        """DSP/LUT/FF/CP for a single graph."""
+        return self.predict([graph])[0]
 
     def predict_source(self, source: str, kind: str | None = None) -> np.ndarray:
         """End-to-end: mini-C source text in, DSP/LUT/FF/CP out."""
@@ -447,14 +313,17 @@ class PredictionService:
             self._cache.move_to_end(fingerprint)
         return value
 
-    def _cache_put(self, fingerprint: str, value: np.ndarray) -> None:
+    def _cache_put(self, fingerprint: str, row) -> np.ndarray:
+        """Cache one model row; returns it as a float64 array."""
+        value = np.asarray(row, dtype=np.float64)
         if self.config.cache_size == 0:
-            return
+            return value
         self._cache[fingerprint] = value
         self._cache.move_to_end(fingerprint)
         while len(self._cache) > self.config.cache_size:
             self._cache.popitem(last=False)
             self._count["evictions"].inc()
+        return value
 
     def clear_cache(self) -> None:
         self._cache.clear()

@@ -18,7 +18,7 @@ from repro.frontend.ast_ import (
     UnOp,
     Var,
 )
-from repro.frontend.ctypes_ import CArray, CInt
+from repro.typesys import CArray, CInt
 
 I8, I16, I32, I64 = CInt(8), CInt(16), CInt(32), CInt(64)
 U8, U16, U32 = CInt(8, signed=False), CInt(16, signed=False), CInt(32, signed=False)

@@ -64,7 +64,6 @@ from repro.frontend.ast_ import (
     UnOp,
     Var,
 )
-from repro.frontend.ctypes_ import CArray, CInt, CType
 from repro.frontend.parser import ParseError
 from repro.gnn.message_passing import GraphContext, RelationFusion
 from repro.hls.binding import bind_function
@@ -78,6 +77,7 @@ from repro.hls.resource_library import DEFAULT_DEVICE
 from repro.hls.scheduling import schedule_function
 from repro.ir.values import Instruction
 from repro.tensor import SegmentPlan, Tensor, gather_rows, scatter_mean, scatter_sum
+from repro.typesys import CArray, CInt, CType
 
 
 def reference_pipeline_registers(function, schedule, unroll=None):

@@ -29,6 +29,7 @@ from repro.models import OffTheShelfPredictor
 from repro.serve import ModelRegistry
 from repro.serve.artifacts import (
     SCHEMA_VERSION,
+    ArtifactError,
     load_predictor,
     save_predictor,
 )
@@ -148,19 +149,20 @@ class TestArtifactIntegrity:
         with pytest.raises(DigestMismatch):
             registry.load("demo")
 
-    def test_legacy_v3_artifact_loads_with_warning(
-        self, fitted_tiny, tmp_path, dfg_samples
-    ):
+    def test_legacy_v3_artifact_rejected(self, fitted_tiny, tmp_path):
         path = save_predictor(fitted_tiny, tmp_path / "art")
         manifest = json.loads((path / "manifest.json").read_text())
-        manifest["schema_version"] = 3
         del manifest["weights_digest"]
         (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.warns(UserWarning, match="unverified"):
-            loaded = load_predictor(path)
-        np.testing.assert_array_equal(
-            loaded.predict(dfg_samples[:2]), fitted_tiny.predict(dfg_samples[:2])
-        )
+        # A v4 manifest must seal its weights.
+        with pytest.raises(ArtifactError, match="no weights_digest"):
+            load_predictor(path)
+        manifest["schema_version"] = 3
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(
+            ArtifactError, match=r"unsupported artifact schema 3 \(supported: \[4\]\)"
+        ):
+            load_predictor(path)
 
     def test_injected_corruption_caught_at_load(self, fitted_tiny, tmp_path):
         path = save_predictor(fitted_tiny, tmp_path / "art")

@@ -336,8 +336,8 @@ class TestServiceStats:
         assert payload == stats.as_dict()
         assert set(payload) == {
             "requests", "cache_hits", "cache_misses", "coalesced",
-            "rejected", "evictions", "batches", "flushes",
-            "model_graphs", "bulk_calls", "streamed",
+            "rejected", "evictions", "batches", "model_graphs",
+            "streamed",
         }
         json.dumps(payload)
 

@@ -338,9 +338,7 @@ class TestServeStreaming:
             predictor,
             ServiceConfig(stream_nodes=500, stream_block_nodes=128, validate=False),
         )
-        tickets = [service.submit(big), service.submit(small)]
-        service.flush()
-        results = [t.result() for t in tickets]
+        results = service.predict([big, small])
         assert service.stats.streamed == 1
         assert service.stats.batches == 1
         assert service.stats.model_graphs == 2
@@ -365,8 +363,7 @@ class TestServeStreaming:
         service = PredictionService(
             BatchOnly(), ServiceConfig(stream_nodes=100, validate=False)
         )
-        service.submit(big)
-        service.flush()
+        service.predict([big])
         assert service.stats.streamed == 0
         assert service.stats.batches == 1
 

@@ -204,20 +204,18 @@ def test_cache_disabled(fitted, split):
 
 
 def test_microbatch_auto_flush(fitted, split):
+    """max_batch_size chunks the misses of one call into fused model
+    calls."""
     _, _, test = split
     service = PredictionService(
         fitted["off_the_shelf"], ServiceConfig(max_batch_size=2)
     )
-    t0 = service.submit(test[0])
-    assert not t0.done  # still queued
-    t1 = service.submit(test[1])
-    assert t0.done and t1.done  # batch filled -> auto flush
-    assert service.stats.batches == 1
-    t2 = service.submit(test[2])
-    assert not t2.done
-    value = t2.result()  # lazy flush on read
-    assert value.shape == (4,)
+    rows = service.predict(test[:3])
+    assert rows.shape == (3, 4)
     assert service.stats.batches == 2
+    assert service.stats.model_graphs == 3
+    assert service.predict_one(test[3]).shape == (4,)
+    assert service.stats.batches == 3
 
 
 def test_inflight_coalescing(fitted, split):
@@ -225,22 +223,17 @@ def test_inflight_coalescing(fitted, split):
     service = PredictionService(
         fitted["off_the_shelf"], ServiceConfig(max_batch_size=32)
     )
-    t0 = service.submit(test[0])
-    t1 = service.submit(test[0])  # identical graph while in flight
-    service.flush()
+    rows = service.predict([test[0], test[0]])  # identical graph twice
     assert service.stats.coalesced == 1
     assert service.stats.model_graphs == 1
-    assert np.array_equal(t0.result(), t1.result())
+    assert np.array_equal(rows[0], rows[1])
 
 
 def test_bulk_dedupes_duplicates_across_flush_boundary(fitted, split):
-    """Regression: a duplicate fingerprint straddling an auto-flush inside
-    one bulk call must not be re-evaluated (or re-counted as a miss).
-
-    Before the bulk path deduped up front, ``predict([a, b, a])`` with
-    ``max_batch_size=2`` and the cache disabled evaluated ``a`` twice:
-    the first flush dropped ``a`` from the in-flight table, nothing was
-    cached, and the trailing duplicate looked brand new.
+    """Regression: a duplicate fingerprint straddling a chunk boundary
+    inside one call must not be re-evaluated (or re-counted as a miss),
+    even with the cache disabled: ``predict([a, b, a])`` with
+    ``max_batch_size=2`` evaluates ``a`` once.
     """
     _, _, test = split
     a, b = test[0], test[1]
@@ -259,8 +252,8 @@ def test_bulk_dedupes_duplicates_across_flush_boundary(fitted, split):
 
 def test_bulk_dedupes_under_intra_flush_eviction(fitted, split):
     """Same regression through the eviction corner: a cache smaller than
-    one bulk call's unique set cannot carry results across the intra-call
-    flush boundary, so dedupe must happen before queueing."""
+    one call's unique set cannot carry results across its chunk
+    boundaries, so dedupe must happen before evaluation."""
     _, _, test = split
     a, b, c = test[0], test[1], test[2]
     service = PredictionService(
@@ -290,10 +283,9 @@ def test_stats_invariants_with_duplicates_and_rejections(fitted, split):
         edge_back=np.zeros(2),
     )
     with pytest.raises(ValueError):
-        service.submit(bad)
+        service.predict([a, bad])  # refused whole
     stats = service.stats
     assert stats.rejected == 1
-    assert stats.bulk_calls == 1
     assert stats.requests == (
         stats.cache_hits + stats.cache_misses + stats.coalesced + stats.rejected
     )
@@ -308,14 +300,16 @@ def test_boundary_validation_rejects_bad_graphs(fitted, split):
     bad_edges.edge_type = np.array([0, 0])
     bad_edges.edge_back = np.array([0, 0])
     with pytest.raises(GraphValidationError, match="out of range"):
-        service.submit(bad_edges)
+        service.predict([bad_edges])
     bad_dim = good.with_features(good.node_features[:, :-1])
     with pytest.raises(GraphValidationError, match="feature dim"):
-        service.submit(bad_dim)
+        service.predict([bad_dim])
     bad_type = good.with_features(good.node_features)
     bad_type.edge_type = np.full_like(bad_type.edge_type, 10**6)
     with pytest.raises(GraphValidationError, match="edge_type id"):
-        service.submit(bad_type)
+        service.predict([good, bad_type])
+    assert service.stats.rejected == 3
+    assert service.stats.model_graphs == 0
 
 
 def test_rich_predictor_requires_resources(fitted, split):
@@ -324,7 +318,7 @@ def test_rich_predictor_requires_resources(fitted, split):
     stripped = test[0].with_features(test[0].node_features)
     stripped.node_resources = None
     with pytest.raises(ValueError, match="intermediate HLS results"):
-        service.submit(stripped)
+        service.predict_one(stripped)
 
 
 # ---------------------------------------------------------------------------
@@ -404,21 +398,18 @@ def test_fingerprint_covers_node_resources(split):
 
 
 def test_flush_failure_does_not_poison_inflight(fitted, split):
+    """A failing model call raises its own exception and leaves nothing
+    behind: the next call evaluates the same graph normally."""
     _, _, test = split
     service = PredictionService(
         fitted["off_the_shelf"], ServiceConfig(max_batch_size=32)
     )
-    ticket = service.submit(test[0])
-    broken, service.predictor = service.predictor, None  # force flush failure
+    broken, service.predictor = service.predictor, None  # force a failure
     with pytest.raises(AttributeError):
-        service.flush()
+        service.predict_one(test[0])
     service.predictor = broken
-    with pytest.raises(RuntimeError, match="resubmit") as excinfo:
-        ticket.result()
-    # The ticket surfaces *why* the batch died, not just that it did.
-    assert isinstance(excinfo.value.__cause__, AttributeError)
-    # The fingerprint is no longer in flight: a resubmit works normally.
     assert service.predict_one(test[0]).shape == (4,)
+    assert service.stats.model_graphs == 1
 
 
 def test_flush_failure_poisons_only_its_chunk(fitted, split):
@@ -426,25 +417,71 @@ def test_flush_failure_poisons_only_its_chunk(fitted, split):
 
     _, _, test = split
     service = PredictionService(
-        fitted["off_the_shelf"], ServiceConfig(max_batch_size=2, cache_size=0)
+        fitted["off_the_shelf"], ServiceConfig(max_batch_size=2)
     )
-    tickets = [service.submit(g) for g in test[:3]]
-    # max_batch_size=2 auto-flushed the first chunk already (it
-    # succeeded); fail the *next* flush chunk and make sure the third
-    # request is the only casualty.
+    # Chunks [0, 1] and [2]: fail the second and make sure the first
+    # chunk's rows were cached before the error surfaced.
     plan = FaultPlan(
-        specs=(FaultSpec(seam="serve.flush", fail_on_calls=(1,)),)
+        specs=(FaultSpec(seam="serve.flush", fail_on_calls=(2,)),)
     )
     with use_faults(plan):
         with pytest.raises(InjectedFault):
-            service.flush()
-    assert tickets[0].result().shape == (4,)
-    assert tickets[1].result().shape == (4,)
-    with pytest.raises(RuntimeError, match="resubmit") as excinfo:
-        tickets[2].result()
-    assert isinstance(excinfo.value.__cause__, InjectedFault)
-    # Poisoned entries left the in-flight table: resubmits re-evaluate.
-    assert service.predict_one(test[2]).shape == (4,)
+            service.predict(test[:3])
+    assert service.stats.model_graphs == 2
+    rows = service.predict(test[:3])
+    assert service.stats.cache_hits == 2
+    assert service.stats.model_graphs == 3
+    np.testing.assert_array_equal(
+        rows, fitted["off_the_shelf"].predict(test[:3], batch_size=2)
+    )
+
+
+def test_predict_matches_direct_chunks(fitted, split):
+    """One call mixing in-call duplicates, LRU hits and a streamed graph
+    returns exactly what the predictor computes on the same distinct
+    chunks, and keeps the request accounting whole."""
+    from repro.faults import FaultPlan, FaultSpec, InjectedFault, use_faults
+
+    _, val, test = split
+    predictor = fitted["off_the_shelf"]
+    graphs = sorted(val + test, key=lambda g: g.num_nodes)
+    big, (a, b, c, d) = graphs[-1], graphs[:4]
+    assert big.num_nodes > d.num_nodes
+    config = ServiceConfig(
+        max_batch_size=2, stream_nodes=big.num_nodes, stream_block_nodes=8
+    )
+    service = PredictionService(predictor, config)
+    service.predict([a])  # warm the LRU
+    rows = service.predict([b, a, big, c, b, d, a])
+    stats = service.stats
+    assert (stats.cache_hits, stats.coalesced, stats.streamed) == (1, 2, 1)
+    assert stats.batches == 3  # [a], then [b, c], [d]
+    expected = {
+        "a": predictor.predict([a], batch_size=2)[0],
+        "big": predictor.predict_streaming(big, max_block_nodes=8),
+    }
+    expected["b"], expected["c"] = predictor.predict([b, c], batch_size=2)
+    expected["d"] = predictor.predict([d], batch_size=2)[0]
+    order = ["b", "a", "big", "c", "b", "d", "a"]
+    np.testing.assert_array_equal(rows, np.stack([expected[k] for k in order]))
+    assert rows.dtype == np.float64
+    assert stats.requests == (
+        stats.cache_hits + stats.cache_misses + stats.coalesced + stats.rejected
+    )
+
+    # On a cold service the streamed graph is seam call 1 and the first
+    # chunk, [b, a], call 2: the error surfaces from predict, and a
+    # repeat call finds the row evaluated before it in the cache.
+    service = PredictionService(predictor, config)
+    plan = FaultPlan(
+        specs=(FaultSpec(seam="serve.flush", fail_on_calls=(2,)),)
+    )
+    with use_faults(plan):
+        with pytest.raises(InjectedFault):
+            service.predict([b, a, big, c, b, d, a])
+    service.predict([big, b])
+    assert service.stats.cache_hits == 1
+    assert service.stats.streamed == 1
 
 
 # ---------------------------------------------------------------------------

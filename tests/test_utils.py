@@ -53,12 +53,6 @@ class TestPackage:
     def test_version_exposed(self):
         assert repro.__version__.count(".") == 2
 
-    def test_typesys_reexport_compatible(self):
-        from repro.frontend.ctypes_ import CInt as A
-        from repro.typesys import CInt as B
-
-        assert A is B
-
 
 class TestCLIs:
     def test_dataset_cli(self, tmp_path, capsys):
