@@ -3,8 +3,8 @@
 Three throughput numbers at ci scale (``BENCH_dataset.json``):
 
 - ``serial_pps`` — ``build_pipeline(workers=1)``, the in-process
-  baseline (same per-sample cost as the legacy ``build_synthetic_
-  dataset`` loop);
+  baseline (same per-sample cost as the in-process
+  ``build_synthetic_dataset`` loop);
 - ``parallel_pps`` — the same build fanned out over a worker pool.
   Process parallelism scales with *available* cores: the JSON records
   ``cpus`` and the >=2x acceptance bar is asserted only where the host

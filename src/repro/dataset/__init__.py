@@ -27,14 +27,12 @@ from repro.dataset.builder import (
     build_synthetic_dataset,
 )
 from repro.dataset.splits import split_dataset
-from repro.dataset.io import load_dataset, save_dataset
 from repro.dataset.pipeline import BuildCache, BuildStats, build_pipeline
 from repro.dataset.shards import (
     ConcatDataset,
     DatasetView,
     Manifest,
     ShardedDataset,
-    migrate_dataset,
 )
 from repro.dataset.stats import DatasetStats, compute_stats, render_stats
 
@@ -46,8 +44,6 @@ __all__ = [
     "build_realcase_dataset",
     "build_synthetic_dataset",
     "split_dataset",
-    "load_dataset",
-    "save_dataset",
     "BuildCache",
     "BuildStats",
     "build_pipeline",
@@ -55,7 +51,6 @@ __all__ = [
     "DatasetView",
     "Manifest",
     "ShardedDataset",
-    "migrate_dataset",
     "DatasetStats",
     "compute_stats",
     "render_stats",

@@ -1,18 +1,14 @@
-"""Dataset CLI: ``python -m repro.dataset``.
+"""Dataset CLI: ``python -m repro.dataset build``.
 
-Verbs::
+One verb, the parallel, cached, resumable sharded build::
 
-    # Parallel, cached, resumable sharded build (the production path)
     python -m repro.dataset build --mode cdfg --count 40000 \\
         --out data/cdfg-40k --workers 8 --shard-size 512 \\
         --cache-dir data/cache --resume
 
-    # Convert a legacy single-.npz archive to the sharded layout
-    python -m repro.dataset migrate old.npz --out data/old-sharded
-
-Invoking without a verb keeps the original single-archive behaviour::
-
-    python -m repro.dataset --mode dfg --count 500 --seed 0 --out dfg.npz
+The output directory holds ``manifest.json`` plus digest-sealed
+``shard-*.npz`` files, read back lazily by
+:class:`repro.dataset.shards.ShardedDataset`.
 """
 
 from __future__ import annotations
@@ -22,21 +18,16 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.dataset.builder import build_realcase_dataset, build_synthetic_dataset
-from repro.dataset.io import save_dataset
 from repro.dataset.pipeline import (
     DEFAULT_MAX_RETRIES,
     DEFAULT_SHARD_SIZE,
     DEFAULT_WORKER_TIMEOUT_S,
     build_pipeline,
 )
-from repro.dataset.shards import migrate_dataset
-
-VERBS = ("build", "migrate")
 
 
 def _print_summary(samples: Sequence, destination: str) -> None:
-    # Single pass: ``samples`` may be a lazy ShardedDataset, where every
+    # Single pass: ``samples`` is a lazy ShardedDataset, where every
     # traversal re-decompresses the shards.
     nodes = edges = 0
     ys = []
@@ -52,27 +43,6 @@ def _print_summary(samples: Sequence, destination: str) -> None:
             f"median={np.median(targets[:, i]):9.1f} "
             f"max={targets[:, i].max():9.1f}"
         )
-
-
-def _run_legacy(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.dataset",
-        description="Generate labelled HLS benchmark datasets (single .npz).",
-    )
-    parser.add_argument("--mode", choices=["dfg", "cdfg", "real"], required=True)
-    parser.add_argument("--count", type=int, default=100,
-                        help="number of synthetic programs (ignored for real)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", required=True, help="output .npz path")
-    args = parser.parse_args(argv)
-
-    if args.mode == "real":
-        samples = build_realcase_dataset()
-    else:
-        samples = build_synthetic_dataset(args.mode, args.count, seed=args.seed)
-    save_dataset(samples, args.out)
-    _print_summary(samples, args.out)
-    return 0
 
 
 def _run_build(args: argparse.Namespace) -> int:
@@ -118,22 +88,7 @@ def _run_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_migrate(args: argparse.Namespace) -> int:
-    dataset = migrate_dataset(args.src, args.out, shard_size=args.shard_size)
-    print(
-        f"migrated {args.src} -> {args.out}: {len(dataset)} samples in "
-        f"{len(dataset.manifest.shards)} shards"
-    )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
-    import sys
-
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if not argv or argv[0] not in VERBS:
-        return _run_legacy(argv)
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.dataset",
         description="Generate labelled HLS benchmark datasets.",
@@ -165,14 +120,6 @@ def main(argv: list[str] | None = None) -> int:
     build.add_argument("--inject", default=None, metavar="FAULTS_JSON",
                        help="fault plan (repro.faults JSON) for chaos builds")
     build.set_defaults(run=_run_build)
-
-    migrate = verbs.add_parser(
-        "migrate", help="convert a legacy single-.npz archive to shards"
-    )
-    migrate.add_argument("src", help="legacy .npz archive")
-    migrate.add_argument("--out", required=True, help="output dataset directory")
-    migrate.add_argument("--shard-size", type=int, default=DEFAULT_SHARD_SIZE)
-    migrate.set_defaults(run=_run_migrate)
 
     args = parser.parse_args(argv)
     return args.run(args)

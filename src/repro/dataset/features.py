@@ -20,11 +20,11 @@ the model, while the flow's own small-loop unrolling heuristic stays
 hidden — inferring that from constant nodes remains part of the paper's
 learning problem.
 
-Knowledge-rich runs append per-node resource *values* (DSP raw,
-log1p LUT, log1p FF); knowledge-infused runs append the three binary
-resource-type bits (ground truth while training, model-inferred at
-inference). Edge types fold the back-edge flag into the type id so
-relational layers can distinguish loop-closing control edges.
+The encoder emits only this base encoding. Knowledge-rich and
+knowledge-infused runs append their per-node resource columns later,
+in :func:`repro.models.base.apply_feature_view`. Edge types fold the
+back-edge flag into the type id so relational layers can distinguish
+loop-closing control edges.
 """
 
 from __future__ import annotations
@@ -155,22 +155,10 @@ def directive_features(
 
 
 class FeatureEncoder:
-    """Encodes :class:`IRGraph` into :class:`GraphData`.
-
-    ``with_resource_values`` / ``with_resource_types`` select the
-    knowledge-rich / knowledge-infused feature extensions.
-    """
-
-    def __init__(
-        self,
-        with_resource_values: bool = False,
-        with_resource_types: bool = False,
-    ):
-        self.with_resource_values = with_resource_values
-        self.with_resource_types = with_resource_types
+    """Encodes :class:`IRGraph` into :class:`GraphData`."""
 
     @property
-    def base_dim(self) -> int:
+    def feature_dim(self) -> int:
         return (
             len(NodeType)
             + 2
@@ -181,44 +169,28 @@ class FeatureEncoder:
             + DIRECTIVE_DIM
         )
 
-    @property
-    def feature_dim(self) -> int:
-        dim = self.base_dim
-        if self.with_resource_values:
-            dim += 3
-        if self.with_resource_types:
-            dim += 3
-        return dim
-
     def schema_key(self) -> str:
         """Stable identity of the encoding this encoder produces.
 
-        Folds in the schema version, the derived feature width (which
-        itself depends on the opcode/category vocabularies) and the
-        knowledge flags — everything that decides whether two encoded
-        samples are interchangeable on disk.
+        Folds in the schema version and the derived feature width (which
+        itself depends on the opcode/category vocabularies): everything
+        that decides whether two encoded samples are interchangeable on
+        disk.
         """
-        return (
-            f"features-v{FEATURE_SCHEMA_VERSION}"
-            f":dim{self.feature_dim}"
-            f":rich{int(self.with_resource_values)}"
-            f":infused{int(self.with_resource_types)}"
-        )
+        return f"features-v{FEATURE_SCHEMA_VERSION}:dim{self.feature_dim}"
 
     @property
     def directive_slice(self) -> slice:
-        """Column range of the directive block (last three base columns).
+        """Column range of the directive block (last three columns).
 
         The DSE fast path re-encodes only these columns per design point
         instead of rebuilding the whole feature matrix.
         """
-        return slice(self.base_dim - DIRECTIVE_DIM, self.base_dim)
+        return slice(self.feature_dim - DIRECTIVE_DIM, self.feature_dim)
 
     def encode_nodes(
         self,
         graph: IRGraph,
-        node_resources: np.ndarray | None = None,
-        node_types: np.ndarray | None = None,
         directives: np.ndarray | None = None,
     ) -> np.ndarray:
         n = graph.num_nodes
@@ -231,7 +203,6 @@ class FeatureEncoder:
         col_start = col_op + len(_OPCODES)
         col_cluster = col_start + 1
         col_directive = col_cluster + 2
-        col_extra = col_directive + DIRECTIVE_DIM
         for node in graph.nodes:
             i = node.index
             features[i, col_ntype + int(node.kind)] = 1.0
@@ -251,18 +222,6 @@ class FeatureEncoder:
                     f"got {tuple(directives.shape)}"
                 )
             features[:, col_directive : col_directive + DIRECTIVE_DIM] = directives
-        cursor = col_extra
-        if self.with_resource_values:
-            if node_resources is None:
-                raise ValueError("knowledge-rich encoding requires node_resources")
-            features[:, cursor] = node_resources[:, 0]
-            features[:, cursor + 1] = np.log1p(node_resources[:, 1])
-            features[:, cursor + 2] = np.log1p(node_resources[:, 2])
-            cursor += 3
-        if self.with_resource_types:
-            if node_types is None:
-                raise ValueError("knowledge-infused encoding requires node_types")
-            features[:, cursor : cursor + 3] = node_types
         return features
 
     def encode_edges(self, graph: IRGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -281,12 +240,7 @@ class FeatureEncoder:
         meta: dict | None = None,
     ) -> GraphData:
         """Full encoding of one sample (features, edges, labels)."""
-        node_features = self.encode_nodes(
-            graph,
-            node_resources=node_resources,
-            node_types=node_labels if self.with_resource_types else None,
-            directives=directives,
-        )
+        node_features = self.encode_nodes(graph, directives=directives)
         edge_index, edge_type, edge_back = self.encode_edges(graph)
         return GraphData(
             node_features=node_features,

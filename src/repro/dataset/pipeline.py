@@ -126,9 +126,6 @@ class BuildStats:
             "points_per_second": round(self.points_per_second, 1),
         }
 
-    # Ledger-facing name; same payload as the historical as_dict.
-    to_dict = as_dict
-
 
 def _directive_footprint(program: Program) -> str:
     """Serialised per-loop HLS directives, in source order.
@@ -740,12 +737,7 @@ def build_pipeline(
                 info = reusable[shard_index]
                 # Re-anchor: earlier shards rebuilt this run may have
                 # quarantined a different set, shifting dense starts.
-                infos.append(
-                    ShardInfo(
-                        file=info.file, start=next_start,
-                        num_samples=info.num_samples,
-                    )
-                )
+                infos.append(dataclasses.replace(info, start=next_start))
                 next_start += info.num_samples
                 stats.shards_skipped += 1
                 continue
@@ -792,5 +784,5 @@ def build_pipeline(
     registry.set_gauge("pipeline.points_per_second", stats.points_per_second)
     ledger = active_ledger()
     if ledger is not None:
-        ledger.record("dataset_build", stats.to_dict(), out_dir=str(out_dir))
+        ledger.record("dataset_build", stats.as_dict(), out_dir=str(out_dir))
     return ShardedDataset(out_dir), stats

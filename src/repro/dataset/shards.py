@@ -3,7 +3,7 @@
 Layout of a sharded dataset rooted at ``<root>/``::
 
     <root>/manifest.json     # schema version, build provenance, shard table
-    <root>/shard-00000.npz   # packed columnar archive (repro.dataset.io)
+    <root>/shard-00000.npz   # packed columnar archive (pack_samples)
     <root>/shard-00001.npz
     ...
 
@@ -31,21 +31,84 @@ import os
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.dataset.io import pack_samples, unpack_samples
 from repro.graph.data import GraphData
 from repro.integrity import IntegrityError, digest_file, load_npz_verified
 
-#: Bump on any incompatible change to the manifest/shard layout.
-SHARD_SCHEMA_VERSION = 1
+#: Bump on any incompatible change to the manifest/shard layout. Schema 2
+#: made every shard entry carry its content digest.
+SHARD_SCHEMA_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 
 #: Default budget of a reader's decoded-shard cache, in array bytes.
 DEFAULT_CACHE_BYTES = 256 * 2**20
+
+
+def pack_samples(samples: Sequence[GraphData]) -> dict[str, np.ndarray]:
+    """Columnar payload of one shard archive for a sample list."""
+    samples = list(samples)
+    if not samples:
+        raise ValueError(
+            "cannot serialise an empty sample list; datasets must contain "
+            "at least one graph"
+        )
+    node_ptr = np.cumsum([0] + [s.num_nodes for s in samples])
+    edge_ptr = np.cumsum([0] + [s.num_edges for s in samples])
+    return {
+        "node_ptr": node_ptr,
+        "edge_ptr": edge_ptr,
+        "node_features": np.concatenate([s.node_features for s in samples], axis=0),
+        "edge_index": np.concatenate([s.edge_index for s in samples], axis=1),
+        "edge_type": np.concatenate([s.edge_type for s in samples]),
+        "edge_back": np.concatenate([s.edge_back for s in samples]),
+        "y": np.stack([s.y for s in samples]),
+        "node_labels": np.concatenate([s.node_labels for s in samples], axis=0),
+        "node_resources": np.concatenate([s.node_resources for s in samples], axis=0),
+        "meta_json": np.frombuffer(
+            json.dumps([s.meta for s in samples]).encode(), dtype=np.uint8
+        ),
+    }
+
+
+def unpack_samples(payload: Mapping[str, np.ndarray]) -> list[GraphData]:
+    """Inverse of :func:`pack_samples`.
+
+    ``payload`` may be a live ``np.load`` archive: every key is read
+    exactly once up front (``NpzFile`` decompresses per access, so
+    indexing inside the per-sample loop would decompress each column
+    once per sample).
+    """
+    node_ptr = np.asarray(payload["node_ptr"])
+    edge_ptr = np.asarray(payload["edge_ptr"])
+    node_features = np.asarray(payload["node_features"])
+    edge_index = np.asarray(payload["edge_index"])
+    edge_type = np.asarray(payload["edge_type"])
+    edge_back = np.asarray(payload["edge_back"])
+    y = np.asarray(payload["y"])
+    node_labels = np.asarray(payload["node_labels"])
+    node_resources = np.asarray(payload["node_resources"])
+    metas = json.loads(bytes(np.asarray(payload["meta_json"])).decode())
+    samples = []
+    for k in range(len(node_ptr) - 1):
+        n0, n1 = int(node_ptr[k]), int(node_ptr[k + 1])
+        e0, e1 = int(edge_ptr[k]), int(edge_ptr[k + 1])
+        samples.append(
+            GraphData(
+                node_features=node_features[n0:n1],
+                edge_index=edge_index[:, e0:e1],
+                edge_type=edge_type[e0:e1],
+                edge_back=edge_back[e0:e1],
+                y=y[k],
+                node_labels=node_labels[n0:n1],
+                node_resources=node_resources[n0:n1],
+                meta=metas[k],
+            )
+        )
+    return samples
 
 
 def shard_filename(index: int) -> str:
@@ -60,9 +123,8 @@ class ShardInfo:
     start: int  # global index of the shard's first sample
     num_samples: int
     #: Content digest of the shard file (``"sha256:<hex>"``), verified on
-    #: every read. Empty for shards written before digests existed —
-    #: those load unverified (schema unchanged, so old manifests parse).
-    digest: str = ""
+    #: every read.
+    digest: str
 
 
 @dataclass
@@ -96,9 +158,18 @@ class Manifest:
         if version != SHARD_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported shard schema {version!r} "
-                f"(supported: {SHARD_SCHEMA_VERSION})"
+                f"(supported: {SHARD_SCHEMA_VERSION}); rebuild the dataset "
+                "with `python -m repro.dataset build`"
             )
-        shards = [ShardInfo(**entry) for entry in raw.pop("shards", [])]
+        shards = []
+        for entry in raw.pop("shards", []):
+            if not entry.get("digest"):
+                raise ValueError(
+                    f"shard {entry.get('file')!r} has no content digest in "
+                    "the manifest; rebuild the dataset with "
+                    "`python -m repro.dataset build`"
+                )
+            shards.append(ShardInfo(**entry))
         return cls(**{**raw, "shards": shards})
 
     def save(self, root: str | Path) -> Path:
@@ -119,14 +190,6 @@ class Manifest:
         return cls.from_json(path.read_text())
 
 
-def is_sharded(path: str | Path) -> bool:
-    """True when ``path`` is a sharded dataset root (or its manifest)."""
-    path = Path(path)
-    if path.name == MANIFEST_NAME:
-        return path.exists()
-    return path.is_dir() and (path / MANIFEST_NAME).exists()
-
-
 def write_shard(
     root: str | Path, index: int, start: int, samples: Sequence[GraphData]
 ) -> ShardInfo:
@@ -134,9 +197,10 @@ def write_shard(
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     name = shard_filename(index)
+    payload = pack_samples(samples)
     tmp = root / (name + ".tmp")
     with open(tmp, "wb") as handle:
-        np.savez_compressed(handle, **pack_samples(samples))
+        np.savez_compressed(handle, **payload)
     # Hash before the rename: the digest lands in the manifest entry, so
     # the (shard, manifest) pair is sealed together.
     digest = digest_file(tmp)
@@ -152,12 +216,11 @@ def read_shard(root: str | Path, info: ShardInfo) -> list[GraphData]:
     Bytes pass through the ``io.read`` fault seam keyed by the shard
     file name; corruption (real or injected) raises
     :class:`repro.integrity.DigestMismatch` instead of yielding
-    plausible-but-wrong samples. Legacy entries without a digest load
-    unverified.
+    plausible-but-wrong samples.
     """
     arrays = load_npz_verified(
         Path(root) / info.file,
-        expected=info.digest or None,
+        expected=info.digest,
         label=f"shard {info.file}",
         key=info.file,
     )
@@ -294,10 +357,6 @@ class ShardedDataset(Sequence[GraphData]):
         for shard_index in range(len(self.manifest.shards)):
             yield self._shard(shard_index)
 
-    def materialize(self) -> list[GraphData]:
-        """Decode everything into one in-memory list (legacy behaviour)."""
-        return list(self)
-
     def __repr__(self) -> str:
         return (
             f"ShardedDataset(root={str(self.root)!r}, samples={self._length}, "
@@ -398,29 +457,3 @@ class ConcatDataset(Sequence[GraphData]):
     def __repr__(self) -> str:
         return f"ConcatDataset(parts={len(self.parts)}, samples={len(self)})"
 
-
-def migrate_dataset(
-    src: str | Path, out_dir: str | Path, shard_size: int = 256
-) -> "ShardedDataset":
-    """Convert a legacy single-``.npz`` archive to a sharded manifest."""
-    from repro.dataset.features import FeatureEncoder
-    from repro.dataset.io import load_dataset
-
-    if shard_size <= 0:
-        raise ValueError("shard_size must be positive")
-    samples = load_dataset(src)
-    manifest = Manifest(
-        complete=False,
-        num_samples=len(samples),
-        shard_size=shard_size,
-        encoder_schema=FeatureEncoder().schema_key(),
-        build={"source": "migrate", "origin": str(src)},
-    )
-    out_dir = Path(out_dir)
-    for shard_index, start in enumerate(range(0, len(samples), shard_size)):
-        chunk = samples[start : start + shard_size]
-        manifest.shards.append(write_shard(out_dir, shard_index, start, chunk))
-        manifest.save(out_dir)
-    manifest.complete = True
-    manifest.save(out_dir)
-    return ShardedDataset(out_dir)

@@ -20,7 +20,8 @@ Failure taxonomy:
 - :class:`DigestMismatch` — the bytes hash differently than the
   recorded digest (bit flips, truncation, partial writes);
 - :class:`IntegrityError` (base) — also raised directly when an archive
-  with no recorded digest fails to parse at all.
+  whose bytes match their digest still fails to parse (it was torn
+  before it was hashed).
 
 Callers decide the recovery policy: the checkpoint resolver skips-and-
 warns back to an older snapshot, the model registry refuses the
@@ -96,23 +97,22 @@ def verify_bytes(data: bytes, expected: str, label: str) -> None:
 
 def load_npz_verified(
     path: str | Path,
-    expected: str | None = None,
+    expected: str,
     label: str | None = None,
     key: str | None = None,
 ) -> dict[str, np.ndarray]:
     """Load an ``.npz`` archive with digest verification.
 
     Bytes come through :func:`read_bytes` (the fault seam), are checked
-    against ``expected`` when a digest was recorded, and only then
-    parsed. A parse failure on an archive *without* a recorded digest
-    (legacy artifacts) still raises :class:`IntegrityError`, so torn
-    files never escape as cryptic ``zipfile`` errors.
+    against the recorded ``expected`` digest, and only then parsed. A
+    parse failure after a matching digest still raises
+    :class:`IntegrityError`, so torn files never escape as cryptic
+    ``zipfile`` errors.
     """
     path = Path(path)
     label = label or str(path)
     data = read_bytes(path, key=key)
-    if expected:
-        verify_bytes(data, expected, label)
+    verify_bytes(data, expected, label)
     try:
         with np.load(io.BytesIO(data), allow_pickle=False) as archive:
             return {name: archive[name] for name in archive.files}

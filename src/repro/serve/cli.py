@@ -198,7 +198,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     n = len(graphs)
     # Same flattening as BENCH_serve.json (see repro.obs.timing), same
-    # stats serialization as the ledger (ServiceStats.to_dict).
+    # stats serialization as the ledger (ServiceStats.as_dict).
     summary = throughput_summary(
         {"naive": naive_s, "batched": batched_s, "cached": cached_s}, n
     )
@@ -206,7 +206,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         {
             "batch_size": args.batch_size,
             "batched_speedup": round(naive_s / batched_s, 2),
-            "stats": service.stats.to_dict(),
+            "stats": service.stats.as_dict(),
         }
     )
     if args.obs:

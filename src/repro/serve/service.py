@@ -106,16 +106,13 @@ class ServiceStats:
             return self._metrics.counter(f"serve.{name}").value
         raise AttributeError(name)
 
-    def to_dict(self) -> dict[str, int]:
+    def as_dict(self) -> dict[str, int]:
         """The counters as a plain dict — the one serialization path
         shared by ``BENCH_serve.json``, the serve CLI and the ledger."""
         return {name: getattr(self, name) for name in type(self).fields}
 
-    # Historical name, kept for callers predating the obs layer.
-    as_dict = to_dict
-
     def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v}" for k, v in self.to_dict().items())
+        fields = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
         return f"ServiceStats({fields})"
 
 

@@ -223,6 +223,6 @@ def run_stress(
         "p99_ms": round(float(np.percentile(latencies, 99)) * 1000, 3)
         if latencies
         else None,
-        "stats": stats.to_dict(),
+        "stats": stats.as_dict(),
     }
     return summary

@@ -9,10 +9,9 @@ from repro.dataset import (
     build_graph,
     build_realcase_dataset,
     build_synthetic_dataset,
-    load_dataset,
-    save_dataset,
     split_dataset,
 )
+from repro.dataset.shards import read_shard, write_shard
 from repro.frontend import lower_program
 from repro.graph import validate_graph
 from repro.ir import NodeType, extract_cdfg
@@ -20,18 +19,6 @@ from tests.conftest import make_loop_program, make_straightline_program
 
 
 class TestFeatureEncoder:
-    def test_base_dimension_formula(self):
-        encoder = FeatureEncoder()
-        assert encoder.feature_dim == encoder.base_dim
-
-    def test_extended_dimensions(self):
-        assert FeatureEncoder(with_resource_values=True).feature_dim == (
-            FeatureEncoder().base_dim + 3
-        )
-        assert FeatureEncoder(
-            with_resource_values=True, with_resource_types=True
-        ).feature_dim == FeatureEncoder().base_dim + 6
-
     def test_onehots_are_valid(self):
         graph = extract_cdfg(lower_program(make_loop_program()))
         feats = FeatureEncoder().encode_nodes(graph)
@@ -57,14 +44,9 @@ class TestFeatureEncoder:
         encoder = FeatureEncoder()
         feats = encoder.encode_nodes(graph)
         # Layout tail: [start, cluster, cluster misc, directives...].
-        start_col = feats[:, encoder.base_dim - 3 - DIRECTIVE_DIM]
+        start_col = feats[:, encoder.feature_dim - 3 - DIRECTIVE_DIM]
         data_preds = graph.data_predecessor_counts()
         np.testing.assert_array_equal(start_col, (data_preds == 0).astype(float))
-
-    def test_missing_rich_inputs_rejected(self):
-        graph = extract_cdfg(lower_program(make_loop_program()))
-        with pytest.raises(ValueError):
-            FeatureEncoder(with_resource_values=True).encode_nodes(graph)
 
     def test_edge_types_fold_back_flag(self):
         graph = extract_cdfg(lower_program(make_loop_program()))
@@ -172,9 +154,8 @@ class TestSplits:
 
 class TestIO:
     def test_roundtrip(self, tmp_path, dfg_samples):
-        path = tmp_path / "dataset.npz"
-        save_dataset(dfg_samples[:5], path)
-        loaded = load_dataset(path)
+        info = write_shard(tmp_path, 0, 0, dfg_samples[:5])
+        loaded = read_shard(tmp_path, info)
         assert len(loaded) == 5
         for original, restored in zip(dfg_samples[:5], loaded):
             np.testing.assert_allclose(original.node_features, restored.node_features)
@@ -185,7 +166,6 @@ class TestIO:
             assert original.meta == restored.meta
 
     def test_loaded_samples_validate(self, tmp_path, cdfg_samples):
-        path = tmp_path / "dataset.npz"
-        save_dataset(cdfg_samples[:4], path)
-        for sample in load_dataset(path):
+        info = write_shard(tmp_path, 0, 0, cdfg_samples[:4])
+        for sample in read_shard(tmp_path, info):
             validate_graph(sample)

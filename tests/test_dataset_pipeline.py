@@ -14,9 +14,6 @@ from repro.dataset import (
     ShardedDataset,
     build_pipeline,
     build_synthetic_dataset,
-    load_dataset,
-    migrate_dataset,
-    save_dataset,
     split_dataset,
 )
 from repro.dataset import shards
@@ -26,6 +23,7 @@ from repro.dataset.shards import MANIFEST_NAME, decoded_nbytes
 from repro.faults import FaultPlan, FaultSpec
 from repro.gnn.network import GraphRegressor
 from repro.hls.resource_library import DEFAULT_DEVICE
+from repro.integrity import DigestMismatch, digest_file
 from repro.ldrgen import GeneratorConfig, generate_sample
 from repro.training.trainer import BatchStream, TrainConfig, train_graph_regressor
 
@@ -119,6 +117,19 @@ class TestResume:
         assert resumed.manifest.complete
         for a, b in zip(resumed, reference):
             assert_samples_equal(a, b)
+        # Reused shards keep their digests through the re-anchor.
+        on_disk = Manifest.load(out)
+        for info in on_disk.shards:
+            assert info.digest == digest_file(out / info.file)
+
+        # A reused shard altered after the build fails its digest check.
+        reused = on_disk.shards[0]
+        with np.load(out / reused.file) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        arrays["y"] = arrays["y"] + 1.0
+        np.savez_compressed(out / reused.file, **arrays)
+        with pytest.raises(DigestMismatch):
+            shards.read_shard(out, reused)
 
     def test_resume_rejects_mismatched_configuration(self, tmp_path):
         out = tmp_path / "ds"
@@ -237,33 +248,22 @@ class TestShardedFormat:
             assert_samples_equal(got, reference[i])
         assert len(reader._cache) == 1
 
-    def test_legacy_sharded_roundtrip_parity(self, tmp_path, dfg_samples):
-        legacy = tmp_path / "legacy.npz"
-        save_dataset(dfg_samples[:6], legacy)
-        sharded = migrate_dataset(legacy, tmp_path / "sharded", shard_size=4)
-        assert len(sharded.manifest.shards) == 2
-        for a, b in zip(load_dataset(legacy), sharded):
-            assert_samples_equal(a, b)
-        # load_dataset auto-detects the sharded layout (directory or
-        # manifest path) and returns the same materialised list.
-        for a, b in zip(load_dataset(tmp_path / "sharded"), dfg_samples[:6]):
-            assert_samples_equal(a, b)
-        for a, b in zip(
-            load_dataset(tmp_path / "sharded" / MANIFEST_NAME), dfg_samples[:6]
-        ):
-            assert_samples_equal(a, b)
-
     def test_manifest_schema_guard(self, tmp_path):
         build_pipeline(tmp_path / "ds", "dfg", 2, seed=0, shard_size=2)
         raw = json.loads((tmp_path / "ds" / MANIFEST_NAME).read_text())
-        raw["schema_version"] = 99
-        (tmp_path / "ds" / MANIFEST_NAME).write_text(json.dumps(raw))
-        with pytest.raises(ValueError, match="unsupported shard schema"):
-            Manifest.load(tmp_path / "ds")
+        for version in (99, 1):
+            raw["schema_version"] = version
+            (tmp_path / "ds" / MANIFEST_NAME).write_text(json.dumps(raw))
+            with pytest.raises(ValueError, match="unsupported shard schema") as err:
+                Manifest.load(tmp_path / "ds")
+            message = str(err.value)
+            assert f"schema {version}" in message and "supported: 2" in message
+            assert "python -m repro.dataset build" in message
 
     def test_empty_save_raises(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            save_dataset([], tmp_path / "empty.npz")
+            shards.write_shard(tmp_path, 0, 0, [])
+        assert not list(tmp_path.iterdir())
 
 
 class TestStreamingTraining:

@@ -63,10 +63,11 @@ class TestDigests:
         path = tmp_path / "arrays.npz"
         np.savez(path, a=np.arange(4))
         path.write_bytes(path.read_bytes()[:10])
-        # No recorded digest (legacy): the parse failure still surfaces
-        # as a typed IntegrityError, not a cryptic zipfile error.
+        # Torn before it was hashed, so the digest matches: the parse
+        # failure still surfaces as a typed IntegrityError, not a cryptic
+        # zipfile error.
         with pytest.raises(IntegrityError, match="unreadable"):
-            load_npz_verified(path)
+            load_npz_verified(path, expected=digest_file(path))
 
 
 class TestReadSeam:
@@ -196,18 +197,20 @@ class TestShardIntegrity:
         with pytest.raises(DigestMismatch, match="shard"):
             read_shard(tmp_path, info)
 
-    def test_legacy_manifest_without_digest_loads(self, dfg_samples, tmp_path):
+    def test_legacy_manifest_without_digest_rejected(self, dfg_samples, tmp_path):
         info = write_shard(tmp_path, 0, 0, dfg_samples[:4])
         manifest = Manifest(
             complete=True, num_samples=4, shard_size=4, shards=[info]
         )
         raw = json.loads(manifest.to_json())
-        for entry in raw["shards"]:
-            del entry["digest"]  # pre-digest manifest layout
+        del raw["shards"][0]["digest"]  # pre-digest manifest layout
         (tmp_path / "manifest.json").write_text(json.dumps(raw))
-        dataset = ShardedDataset(tmp_path)
-        assert dataset.manifest.shards[0].digest == ""
-        assert len(dataset[0:4]) == 4
+        with pytest.raises(ValueError, match="shard-00000.npz.*no content digest"):
+            ShardedDataset(tmp_path)
+        raw["shards"][0]["digest"] = ""
+        (tmp_path / "manifest.json").write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match="shard-00000.npz.*no content digest"):
+            ShardedDataset(tmp_path)
 
     def test_sharded_dataset_surfaces_corruption(self, dfg_samples, tmp_path):
         info = write_shard(tmp_path, 0, 0, dfg_samples[:4])

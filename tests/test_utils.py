@@ -58,19 +58,24 @@ class TestCLIs:
     def test_dataset_cli(self, tmp_path, capsys):
         from repro.dataset.__main__ import main
 
-        out = tmp_path / "tiny.npz"
-        assert main(["--mode", "dfg", "--count", "3", "--out", str(out)]) == 0
-        assert out.exists()
+        out = tmp_path / "tiny"
+        argv = ["--mode", "dfg", "--count", "3", "--out", str(out)]
+        assert main(["build", *argv]) == 0
+        assert (out / "manifest.json").exists()
         captured = capsys.readouterr().out
         assert "wrote 3 graphs" in captured
+        # `build` is the only verb; the old verb-less call is a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
     def test_dataset_cli_roundtrip(self, tmp_path):
-        from repro.dataset import load_dataset
+        from repro.dataset import ShardedDataset
         from repro.dataset.__main__ import main
 
-        out = tmp_path / "tiny.npz"
-        main(["--mode", "cdfg", "--count", "2", "--out", str(out)])
-        assert len(load_dataset(out)) == 2
+        out = tmp_path / "tiny"
+        main(["build", "--mode", "cdfg", "--count", "2", "--out", str(out)])
+        assert len(ShardedDataset(out)) == 2
 
     def test_experiments_cli_rejects_unknown(self):
         from repro.experiments.__main__ import main
